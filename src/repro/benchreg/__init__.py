@@ -24,9 +24,7 @@ Recording or gating refuses outright while a :mod:`repro.faultinject`
 plan is armed — a perturbed run must never become a baseline.
 
 The index schema (``repro-bench-index/1``) and the hard/advisory gate
-table are documented in :mod:`repro.benchreg.schema`;
-:mod:`repro.benchreg.migrate` lifts the pre-index ``BENCH_*.json``
-snapshots into entries (cited as ``source`` provenance).
+table are documented in :mod:`repro.benchreg.schema`.
 """
 
 from ..errors import BenchRegError

@@ -51,7 +51,6 @@ def make_entry(
     label: str = "",
     notes: str = "",
     pr: Optional[int] = None,
-    source: Optional[str] = None,
     clock: Optional[Callable[[], float]] = None,
     host: Optional[Mapping[str, object]] = None,
     sha: Optional[str] = None,
@@ -75,7 +74,7 @@ def make_entry(
         "pr": pr,
         "command": command,
         "notes": notes,
-        "source": source,
+        "source": None,
         "git_sha": schema.git_sha() if sha is None else sha,
         "host": dict(schema.host_fingerprint() if host is None else host),
         "rows": [dict(row) for row in rows],
@@ -91,7 +90,6 @@ def record_campaign(
     label: str = "",
     notes: str = "",
     pr: Optional[int] = None,
-    source: Optional[str] = None,
     clock: Optional[Callable[[], float]] = None,
     host: Optional[Mapping[str, object]] = None,
     sha: Optional[str] = None,
@@ -115,7 +113,6 @@ def record_campaign(
         label=label,
         notes=notes,
         pr=pr,
-        source=source,
         clock=clock,
         host=host,
         sha=sha,

@@ -29,11 +29,12 @@ record of benchmark campaigns.  Each entry is one ``--bench`` run:
 
 ``entries`` is append-only and chronologically ordered; ``id`` is
 assigned at record time (``c0001``, ``c0002``...).  ``source`` cites the
-legacy ``BENCH_*.json`` snapshot an entry was migrated from (``null``
-for natively recorded campaigns).  The host ``fingerprint`` is the
-solver-relevant identity — machine/python/numpy/scipy/cpu-count, *not*
-the kernel build — because those are what move deterministic counter
-trajectories; baseline resolution prefers same-fingerprint entries.
+hand-written ``BENCH_*.json`` snapshot that the two pre-index entries
+(c0001, c0002) were converted from (``null`` for natively recorded
+campaigns).  The host ``fingerprint`` is the solver-relevant identity —
+machine/python/numpy/scipy/cpu-count, *not* the kernel build — because
+those are what move deterministic counter trajectories; baseline
+resolution prefers same-fingerprint entries.
 
 Gate table
 ----------

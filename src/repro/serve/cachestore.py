@@ -4,11 +4,13 @@ A :class:`CacheStore` persists the exact records a
 :class:`~repro.spice.session.SolvedPointCache` exports — keyed by the
 existing ``(topology fingerprint, overrides, pinned time, solver
 options, temperature)`` cache key — so a session opened in a *new
-process* starts with every point its predecessors solved.  The store
-never bypasses the cache's warm-start gates: loaded points re-enter
-through :meth:`SolvedPointCache.merge` and are re-screened by the value
-band, the 50 K temperature band and the pinned-time key on every
-lookup, exactly like points solved in-process.  (One deliberate
+process* starts with every point its predecessors solved on the same
+topology.  The store never bypasses the cache's warm-start gates: a
+session merges only the loaded points whose key carries its own
+topology fingerprint (one store serves many netlists), and those
+re-enter through :meth:`SolvedPointCache.merge` and are re-screened by
+the value band, the 50 K temperature band and the pinned-time key on
+every lookup, exactly like points solved in-process.  (One deliberate
 asymmetry: the session's *baseline* map — pre-override values recorded
 when overrides are applied — is not persisted, so a fresh process
 treats stored points with unknown override coordinates as

@@ -11,8 +11,8 @@ offline, this package implements the needed subset from scratch:
 * :mod:`repro.spice.mna` — residual/Jacobian assembly;
 * :mod:`repro.spice.solver` — damped Newton-Raphson with gmin and
   source stepping;
-* :mod:`repro.spice.analysis` — operating point, DC sweeps and
-  temperature sweeps;
+* :mod:`repro.spice.analysis` — the operating-point, sweep and AC
+  result containers;
 * :mod:`repro.spice.transient` — time-domain transient analysis
   (backward Euler / trapezoidal with LTE-driven adaptive timestepping);
 * :mod:`repro.spice.ac` — frequency-domain small-signal analysis
@@ -31,9 +31,7 @@ offline, this package implements the needed subset from scratch:
   ``TempSweep``, ``ACSweep``, ``Transient``, ``MonteCarlo``) run by a
   :class:`~repro.spice.session.Session` that owns one engine lifecycle
   per topology and a cross-analysis solved-point warm-start cache.
-  The per-analysis entry points above (``operating_point``,
-  ``temperature_sweep``, ``ac_analysis``, ``transient_analysis``, the
-  chain/batch layer) remain as deprecated delegating shims.
+  Every analysis runs through it.
 """
 
 from .netlist import Circuit, GROUND
@@ -50,22 +48,9 @@ from .elements import (
 )
 from .elements.sources import PWL, Pulse, Sin, Waveform
 from .solver import SolverOptions, solve_dc, solve_dc_system
-from .analysis import (
-    ACResult,
-    OperatingPoint,
-    SweepResult,
-    dc_sweep,
-    operating_point,
-    temperature_sweep,
-)
-from .ac import (
-    ACSweepChain,
-    ACSystem,
-    ac_analysis,
-    ac_solve_batch,
-    log_frequencies,
-)
-from .transient import TransientOptions, TransientResult, transient_analysis
+from .analysis import ACResult, OperatingPoint, SweepResult
+from .ac import ACSystem, log_frequencies
+from .transient import TransientOptions, TransientResult
 from .plans import (
     ACSweep,
     AnalysisPlan,
@@ -113,18 +98,11 @@ __all__ = [
     "solve_dc_system",
     "OperatingPoint",
     "SweepResult",
-    "operating_point",
-    "dc_sweep",
-    "temperature_sweep",
     "ACResult",
     "ACSystem",
-    "ACSweepChain",
-    "ac_analysis",
-    "ac_solve_batch",
     "log_frequencies",
     "TransientOptions",
     "TransientResult",
-    "transient_analysis",
     "AnalysisPlan",
     "OP",
     "DCSweep",

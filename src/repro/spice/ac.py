@@ -33,17 +33,15 @@ frequency-independent), sparse ``splu`` above the size threshold, and a
 :data:`repro.spice.stats.STATS` (``ac_solves`` / ``ac_factorizations``
 / ``ac_factor_reuses``) so ``--bench`` reports the reuse rate.
 
-:class:`ACSweepChain` / :func:`ac_solve_batch` are the legacy batch
-layer, kept as deprecated shims over the Session API
-(:mod:`repro.spice.session`): each chain becomes a
-``(SessionRecipe, plans.ACSweep)`` pair and fans out through
+Sweeps are driven through the Session API (:mod:`repro.spice.session`):
+``Session.run(plans.ACSweep(...))`` for one topology, or
+``(SessionRecipe, plans.ACSweep)`` pairs fanned out through
 :func:`repro.spice.session.run_plans`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +51,7 @@ from .analysis import ACResult, OperatingPoint, _wrap_point
 from .elements.base import ACStamp
 from .mna import MNASystem
 from .netlist import Circuit
-from .solver import NewtonWorkspace, SolverOptions, solve_dc_system
+from .solver import SolverOptions, solve_dc_system
 from .stats import STATS
 
 try:  # scipy is an optional accelerator, not a hard dependency
@@ -358,114 +356,3 @@ class ACSystem:
             x=solution,
             op=op,
         )
-
-
-def ac_analysis(
-    circuit: Circuit,
-    frequencies_hz: Sequence[float],
-    temperature_k: float = 300.15,
-    options: Optional[SolverOptions] = None,
-    x0: Optional[np.ndarray] = None,
-) -> ACResult:
-    """One-shot AC sweep: DC operating point, linearise, sweep.
-
-    .. deprecated::
-        Delegates to ``Session(circuit).run(plans.ACSweep(...))``; use
-        the Session API directly so the operating point lands in (and
-        can come from) the session's solved-point cache.
-    """
-    from .plans import ACSweep
-    from .session import Session, _warn_legacy
-
-    _warn_legacy("ac_analysis", "Session.run(plans.ACSweep(...))")
-    grid = np.asarray(frequencies_hz, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise NetlistError("AC analysis needs a 1-D, non-empty frequency grid")
-    session = Session(circuit, options=options, temperature_k=temperature_k)
-    plan = ACSweep(frequencies_hz=tuple(grid), temperatures_k=(temperature_k,))
-    return session.run(plan, x0=x0).ac_results[0]
-
-
-# ----------------------------------------------------------------------
-# Batch layer: temperature chains of AC sweeps, fanned over processes
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ACSweepChain:
-    """One temperature chain of AC sweeps, as a picklable recipe.
-
-    .. deprecated::
-        The Session API replaces AC chains with
-        ``(SessionRecipe, plans.ACSweep)`` pairs submitted to
-        :func:`repro.spice.session.run_plans` (or a single
-        ``Session.run(plans.ACSweep(...))`` for one topology).
-
-    ``builder(*args, **kwargs)`` returns the circuit (a recipe, not an
-    instance — circuits hold closures that cannot cross process
-    boundaries).  Within the chain one system is re-temperatured per
-    point, DC points warm-start each other, and each solved point gets
-    one AC sweep over ``frequencies_hz``.
-    """
-
-    builder: Callable[..., Circuit]
-    frequencies_hz: Tuple[float, ...]
-    temperatures_k: Tuple[float, ...] = (300.15,)
-    args: Tuple = ()
-    kwargs: Mapping = field(default_factory=dict)
-    label: str = "ac"
-    options: Optional[SolverOptions] = None
-
-    def __post_init__(self):
-        from .session import _warn_legacy
-
-        _warn_legacy("ACSweepChain", "(SessionRecipe, plans.ACSweep) pairs")
-
-    def build(self) -> Circuit:
-        return self.builder(*self.args, **dict(self.kwargs))
-
-    def _session_pair(self):
-        from .plans import ACSweep
-        from .session import SessionRecipe
-
-        return (
-            SessionRecipe(
-                builder=self.builder,
-                args=tuple(self.args),
-                kwargs=tuple(sorted(dict(self.kwargs).items())),
-                options=self.options,
-            ),
-            ACSweep(
-                frequencies_hz=tuple(self.frequencies_hz),
-                temperatures_k=tuple(self.temperatures_k),
-            ),
-        )
-
-
-def solve_ac_chain(chain: ACSweepChain) -> List[ACResult]:
-    """Run one chain in-process: one re-temperatured system, one AC
-    sweep per temperature (engine-level helper, Session-backed)."""
-    recipe, plan = chain._session_pair()
-    return recipe.build().run(plan).ac_results
-
-
-def ac_solve_batch(
-    chains: Sequence[ACSweepChain],
-    max_workers: Optional[int] = None,
-) -> List[List[ACResult]]:
-    """Solve many AC chains, fanning independent chains over processes.
-
-    .. deprecated::
-        Delegates to :func:`repro.spice.session.run_plans` (one fresh
-        session per chain, preserving the legacy no-sharing semantics:
-        results are identical to solving every chain serially,
-        regardless of worker count).  Returns one list of
-        :class:`ACResult` per chain, ordered like the chain's
-        temperature grid.
-    """
-    from .session import _warn_legacy, run_plans
-
-    _warn_legacy("ac_solve_batch", "session.run_plans(...)")
-    chains = list(chains)
-    pairs = [chain._session_pair() for chain in chains]
-    results = run_plans(pairs, workers=max_workers, share_sessions=False)
-    return [result.ac_results for result in results]

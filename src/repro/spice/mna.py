@@ -48,8 +48,8 @@ the model parameters of a *grouped* nonlinear device) or
 ``temperature_override`` on a live system is not tracked — call
 :meth:`MNASystem.invalidate` after doing so (it rebuilds the linear
 caches and re-packs the device groups), or build a fresh system
-(``solve_dc`` already builds one per call, which is why
-``dc_sweep``-style value mutation is safe).
+(``solve_dc`` already builds one per call, and a Session's
+``DCSweep`` plan invalidates after each source-value change).
 
 A ``gmin`` conductance from every node to ground is always present (it
 bounds the matrix condition number and is the knob the solver's gmin

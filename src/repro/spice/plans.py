@@ -236,8 +236,7 @@ class ACSweep(AnalysisPlan):
     """Small-signal frequency sweep at each temperature's solved op.
 
     One warm-chained DC point per temperature, one complex
-    ``(G + jwC) x = b`` sweep per point — the declarative form of the
-    legacy ``ACSweepChain``.
+    ``(G + jwC) x = b`` sweep per point.
     """
 
     frequencies_hz: Tuple[float, ...] = ()

@@ -1,17 +1,13 @@
 """The unified Session analysis API: one engine lifecycle per topology.
 
-Four PRs grew five parallel front doors into the engine —
-``operating_point``/``dc_sweep``/``temperature_sweep``, the
-``SweepChain``/``solve_batch`` pair, ``ACSweepChain``,
-``transient_analysis`` and per-experiment ad-hoc wiring — each with its
-own system-construction and reuse conventions.  A :class:`Session`
-replaces all of them: it owns ONE :class:`~repro.spice.mna.MNASystem`
-per topology (``set_temperature``/``invalidate`` handled internally),
-one shared :class:`~repro.spice.solver.NewtonWorkspace`, and a
-**solved-point cache** that warm-starts Newton from the nearest
-previously solved point — which is what finally amortises the cold-start
-gain-stepping ladder (~60 % of a 16-point Fig. 8 sweep) across
-analyses and experiment families.
+A :class:`Session` is the single front door into the engine: it owns
+ONE :class:`~repro.spice.mna.MNASystem` per topology
+(``set_temperature``/``invalidate`` handled internally), one shared
+:class:`~repro.spice.solver.NewtonWorkspace`, and a **solved-point
+cache** that warm-starts Newton from the nearest previously solved
+point — which is what amortises the cold-start gain-stepping ladder
+(~60 % of a 16-point Fig. 8 sweep) across analyses and experiment
+families.
 
 Analyses are declarative plans (:mod:`repro.spice.plans`) submitted via
 :meth:`Session.run` / :meth:`Session.run_many`; cross-topology batches
@@ -50,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,17 +81,6 @@ from .plans import (
 from .solver import NewtonWorkspace, RawSolution, SolverOptions, solve_dc_system
 from .stats import STATS, SolverStats
 from .transient import TransientOptions, TransientResult, run_transient_system
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    """One DeprecationWarning per legacy entry-point call (shared by all
-    the shims so the message shape — and the filters tests key on — stay
-    uniform)."""
-    warnings.warn(
-        f"{name} is deprecated since the Session API: use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _fingerprint(circuit: Circuit) -> str:
@@ -347,7 +331,7 @@ class AnalysisResult:
 
 
 class OPResult(AnalysisResult):
-    """One solved operating point (wraps the legacy OperatingPoint)."""
+    """One solved operating point (wraps the engine's OperatingPoint)."""
 
     kind = "op"
 
@@ -431,7 +415,7 @@ class TempSweepResult(_SweepResultBase):
 class ACSweepResult(AnalysisResult):
     """AC sweeps at each temperature's operating point.
 
-    ``ac_results`` holds one legacy :class:`ACResult` per temperature
+    ``ac_results`` holds one engine :class:`ACResult` per temperature
     (phasors, bode, margins — the full frequency-domain accessor set);
     the uniform ``voltage`` accessor reports the *operating-point*
     voltage per temperature, since that is the sweep's DC baseline.
@@ -489,7 +473,7 @@ class ACSweepResult(AnalysisResult):
 
 
 class TransientRunResult(AnalysisResult):
-    """A completed transient run (wraps the legacy TransientResult)."""
+    """A completed transient run (wraps the engine's TransientResult)."""
 
     kind = "transient"
 
@@ -666,8 +650,10 @@ class Session:
         #: one).  Loaded into the cache on open; :meth:`flush_store` /
         #: :meth:`close` write solved points back, so warm starts
         #: survive process death.  Loaded points pass through the same
-        #: ``SolvedPointCache`` gates as in-process ones — the value
-        #: band, temperature band and pinned-time key still screen
+        #: gates as in-process ones — the topology fingerprint (a shared
+        #: store holds other netlists' points, whose ``x`` means a
+        #: different unknown ordering), then the ``SolvedPointCache``
+        #: value band, temperature band and pinned-time key screen
         #: every warm-start candidate.
         self.store = None
         if store is not None:
@@ -676,7 +662,10 @@ class Session:
 
                 store = CacheStore(store)
             self.store = store
-            self.cache.merge(self.store.load())
+            self.cache.merge(
+                entry for entry in self.store.load()
+                if entry[0][0] == self.fingerprint
+            )
 
     # -- persistent store ----------------------------------------------
     def flush_store(self) -> int:
@@ -1209,7 +1198,6 @@ def _pair_outcome(group_outcome: Outcome, pair_index: int, value=None) -> Outcom
 def run_plans(
     pairs: Sequence[Tuple[SessionRecipe, AnalysisPlan]],
     workers: Optional[int] = None,
-    share_sessions: bool = True,
     policy: Optional[RunPolicy] = None,
 ) -> List[AnalysisResult]:
     """Run ``(recipe, plan)`` pairs, batching compatible plans.
@@ -1223,15 +1211,11 @@ def run_plans(
     paths because grouping is deterministic and each group runs
     sequentially inside one process either way.
 
-    ``share_sessions=False`` pins one fresh session per pair — the
-    legacy chain-layer semantics the deprecation shims preserve, where
-    identical chains never see each other's warm starts.
-
     With a :class:`~repro.resilience.RunPolicy` the batch runs
     supervised and returns one :class:`~repro.resilience.Outcome` per
     pair.  The supervision unit is the session *group* (the atom of
-    both execution paths), indexed by group ordinal — with
-    ``share_sessions=False`` that is simply the pair index.  A failed
+    both execution paths), indexed by group ordinal — the pair index
+    when every recipe is distinct.  A failed
     group yields one failure record per member pair; retries re-run the
     whole group.  The same policy supervises the serial and fanned
     paths, so outcomes, attempt counts and resilience counters match.
@@ -1239,13 +1223,10 @@ def run_plans(
     pairs = list(pairs)
     groups: List[Tuple[SessionRecipe, List[int]]] = []
     for index, (recipe, _plan) in enumerate(pairs):
-        if share_sessions:
-            for grouped_recipe, indices in groups:
-                if grouped_recipe == recipe:
-                    indices.append(index)
-                    break
-            else:
-                groups.append((recipe, [index]))
+        for grouped_recipe, indices in groups:
+            if grouped_recipe == recipe:
+                indices.append(index)
+                break
         else:
             groups.append((recipe, [index]))
     # Parent-side sessions: validation before any solve, and the

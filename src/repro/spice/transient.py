@@ -253,44 +253,6 @@ def _collect_breakpoints(
     return merged
 
 
-def transient_analysis(
-    circuit: Circuit,
-    t_stop: float,
-    temperature_k: float = 300.15,
-    options: Optional[TransientOptions] = None,
-    t_start: float = 0.0,
-    x0: Optional[np.ndarray] = None,
-) -> TransientResult:
-    """Integrate the circuit from ``t_start`` to ``t_stop``.
-
-    .. deprecated::
-        Delegates to the Session API —
-        ``Session(circuit).run(plans.Transient(t_stop=...))`` — which
-        owns the engine lifecycle (one system, one solved-point cache)
-        and lets a transient share its warm-start state with every
-        other analysis of the same topology.  This shim keeps the
-        legacy signature and return type for external callers.
-
-    The initial condition is the DC operating point at ``t_start``
-    (waveform sources pinned to their value there, capacitors open) —
-    pass ``x0`` to warm-start that solve.  Raises
-    :class:`ConvergenceError` if any step cannot be completed above the
-    minimum timestep.
-    """
-    from .session import Session, _warn_legacy
-    from .plans import Transient
-
-    _warn_legacy("transient_analysis", "Session.run(plans.Transient(...))")
-    session = Session(circuit, temperature_k=temperature_k)
-    plan = Transient(
-        t_stop=float(t_stop),
-        t_start=float(t_start),
-        temperature_k=temperature_k,
-        options=options,
-    )
-    return session.run(plan, x0=x0).result
-
-
 def run_transient_system(
     circuit: Circuit,
     system: MNASystem,

@@ -1,6 +1,7 @@
 """Baseline resolution and gate-classification tests."""
 
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.benchreg.record import make_entry
 from repro.errors import BenchRegError
 
 CLOCK = datetime(2026, 7, 28, tzinfo=timezone.utc).timestamp()
+COMMITTED_INDEX = Path(__file__).resolve().parents[2] / "benchmarks" / "index.json"
 
 
 def host(tag):
@@ -227,3 +229,45 @@ class TestGate:
         row = comparison.deltas[0].as_dict()
         assert set(row) == {"experiment", "metric", "severity", "direction",
                             "baseline", "candidate", "status"}
+
+
+class TestLegacyHostBaseline:
+    """c0001/c0002 in the committed index predate native recording:
+    they carry a ``legacy:`` host fingerprint and cite their original
+    ``BENCH_*.json`` snapshot as ``source``.  They stay usable as
+    explicit baselines."""
+
+    @pytest.fixture
+    def committed(self):
+        return schema.load_index(COMMITTED_INDEX)
+
+    def test_legacy_hosts_never_match_a_live_fingerprint(self, committed):
+        live = schema.host_fingerprint()["fingerprint"]
+        legacy = [e for e in committed["entries"] if e["source"] is not None]
+        assert [e["id"] for e in legacy] == ["c0001", "c0002"]
+        for e in legacy:
+            assert e["host"]["fingerprint"].startswith("legacy:")
+            assert e["host"]["fingerprint"] != live
+
+    def test_c0001_gates_identical_counters_clean(self, committed):
+        """A candidate whose hard counters equal c0001's default row
+        passes, and the counters grown since classify as new metrics."""
+        baseline, how = compare.resolve_baseline(committed, ref="c0001")
+        c0001_row = schema.default_row(baseline, "startup_transient")
+        candidate = dict(c0001_row)
+        candidate.pop("leg", None)
+        candidate.update({"op_cache_misses": 4, "session_plans": 4})
+        comparison = compare.compare_rows(baseline, [candidate], resolution=how)
+        assert comparison.ok
+        statuses = {d.metric: d.status for d in comparison.deltas}
+        assert statuses["factorizations"] == "stable"
+        assert statuses["op_cache_misses"] == "new-metric"
+
+    def test_doubled_factorizations_fail_against_c0001(self, committed):
+        baseline, _ = compare.resolve_baseline(committed, ref="c0001")
+        row = dict(schema.default_row(baseline, "startup_transient"))
+        row.pop("leg", None)
+        row["factorizations"] *= 2
+        comparison = compare.compare_rows(baseline, [row])
+        assert not comparison.ok
+        assert [f.metric for f in comparison.hard_failures] == ["factorizations"]

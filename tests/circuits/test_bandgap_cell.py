@@ -16,21 +16,16 @@ from repro.circuits.bandgap_cell import (
 )
 from repro.constants import thermal_voltage
 from repro.errors import NetlistError
-from repro.spice import operating_point, temperature_sweep
+from repro.spice import OP, Session, TempSweep
 from repro.units import celsius_to_kelvin
 
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 
 IDEAL = BandgapCellConfig(substrate_unit=None)
 
 
 @pytest.fixture(scope="module")
 def ideal_op():
-    return operating_point(build_bandgap_cell(IDEAL), 300.15)
+    return Session(build_bandgap_cell(IDEAL)).run(OP()).op
 
 
 class TestConfig:
@@ -86,8 +81,8 @@ class TestIdealCell:
         # The trimmed ideal cell: total VREF excursion over the paper's
         # window stays within ~25 mV (Fig. 8 y-axis spans 45 mV).
         temps = [celsius_to_kelvin(t) for t in (-55, -30, -5, 20, 45, 70, 95, 120)]
-        sweep = temperature_sweep(build_bandgap_cell(IDEAL), temps)
-        vref = sweep.voltage("vref")
+        session = Session(build_bandgap_cell(IDEAL), temperature_k=temps[0])
+        vref = session.run(TempSweep(temperatures_k=temps)).voltage("vref")
         assert vref.max() - vref.min() < 25e-3
 
 
@@ -97,11 +92,9 @@ class TestNonIdealities:
         # resistance (~2.9 kOhm at ~9 uA) — the paper's "ADJ pads correct
         # the offset voltage of VREF" is about exactly this sensitivity.
         vos = 3e-3
-        base = operating_point(build_bandgap_cell(IDEAL), 300.15)
-        shifted = operating_point(
-            build_bandgap_cell(BandgapCellConfig(substrate_unit=None, opamp_vos=vos)),
-            300.15,
-        )
+        base = Session(build_bandgap_cell(IDEAL)).run(OP()).op
+        shifted_config = BandgapCellConfig(substrate_unit=None, opamp_vos=vos)
+        shifted = Session(build_bandgap_cell(shifted_config)).run(OP()).op
         i_bias = (measure_vref(base) - base.voltage("p4")) / IDEAL.rx1
         r_dynamic = thermal_voltage(300.15) / i_bias
         gain = (IDEAL.rx1 + r_dynamic) / IDEAL.rb
@@ -110,10 +103,12 @@ class TestNonIdealities:
 
     def test_leakage_raises_hot_end_only(self):
         temps = [celsius_to_kelvin(t) for t in (-30, 25, 145)]
-        clean = temperature_sweep(build_bandgap_cell(IDEAL), temps).voltage("vref")
-        leaky = temperature_sweep(
-            build_bandgap_cell(BandgapCellConfig()), temps
-        ).voltage("vref")
+        clean, leaky = (
+            Session(build_bandgap_cell(config), temperature_k=temps[0])
+            .run(TempSweep(temperatures_k=temps))
+            .voltage("vref")
+            for config in (IDEAL, BandgapCellConfig())
+        )
         assert leaky[0] == pytest.approx(clean[0], abs=1e-4)
         assert leaky[1] == pytest.approx(clean[1], abs=1e-3)
         assert leaky[2] - clean[2] > 10e-3
@@ -122,35 +117,35 @@ class TestNonIdealities:
         t_hot = celsius_to_kelvin(145.0)
         vref = {}
         for radja in (0.0, 1.8e3, 2.5e3, 2.7e3):
-            op = operating_point(
-                build_bandgap_cell(BandgapCellConfig(radja=radja)), t_hot
-            )
+            cell = build_bandgap_cell(BandgapCellConfig(radja=radja))
+            op = Session(cell, temperature_k=t_hot).run(OP(temperature_k=t_hot)).op
             vref[radja] = measure_vref(op)
         # Monotone flattening with RadjA, exactly Fig. 8's S1..S4 ordering.
         assert vref[0.0] > vref[1.8e3] > vref[2.5e3] > vref[2.7e3]
 
     def test_radja_no_effect_at_room_temperature(self):
         t = celsius_to_kelvin(25.0)
-        base = measure_vref(
-            operating_point(build_bandgap_cell(BandgapCellConfig(radja=0.0)), t)
-        )
-        trimmed = measure_vref(
-            operating_point(build_bandgap_cell(BandgapCellConfig(radja=2.7e3)), t)
+        base, trimmed = (
+            measure_vref(
+                Session(build_bandgap_cell(BandgapCellConfig(radja=radja)),
+                        temperature_k=t).run(OP(temperature_k=t)).op
+            )
+            for radja in (0.0, 2.7e3)
         )
         assert trimmed == pytest.approx(base, abs=1e-3)
 
     def test_p5_tap_offset_shifts_measured_dvbe(self):
         offset = 4.5e-3
         cfg = BandgapCellConfig(substrate_unit=None, p5_tap_offset_v=offset)
-        op = operating_point(build_bandgap_cell(cfg), 300.15)
-        base = operating_point(build_bandgap_cell(IDEAL), 300.15)
+        op = Session(build_bandgap_cell(cfg)).run(OP()).op
+        base = Session(build_bandgap_cell(IDEAL)).run(OP()).op
         shift = measure_delta_vbe(op) - measure_delta_vbe(base)
         assert shift == pytest.approx(offset, abs=1e-5)
 
     def test_mismatch_shifts_dvbe(self):
         cfg = BandgapCellConfig(substrate_unit=None, is_mismatch=1.03)
-        op = operating_point(build_bandgap_cell(cfg), 300.15)
-        base = operating_point(build_bandgap_cell(IDEAL), 300.15)
+        op = Session(build_bandgap_cell(cfg)).run(OP()).op
+        base = Session(build_bandgap_cell(IDEAL)).run(OP()).op
         expected = thermal_voltage(300.15) * math.log(1.03)
         assert measure_delta_vbe(op) - measure_delta_vbe(base) == pytest.approx(
             expected, abs=2e-4

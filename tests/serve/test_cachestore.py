@@ -13,7 +13,8 @@ Four contracts:
 * **warm-start gates** — store-loaded points pass through the same
   ``SolvedPointCache`` screens as in-process ones: the pinned-time key
   and the value band still refuse a dead-supply seed for a powered
-  solve after a restart-like reload.
+  solve after a restart-like reload, and another topology's points
+  never seed a solve.
 """
 
 import json
@@ -245,7 +246,25 @@ class TestWarmStartGatesSurviveReload:
             c.add(Resistor("R2", "d", "0", 1e3))
             return c
 
+        def larger_circuit():
+            c = Circuit("store diode")  # one more unknown than the store's
+            c.add(VoltageSource("V1", "in", "0", 5.0))
+            c.add(Resistor("R1", "in", "m", 1e3))
+            c.add(Resistor("R2", "m", "d", 1e3))
+            c.add(Diode("D1", "d", "0"))
+            return c
+
         STATS.reset()
         other = Session(other_circuit(), store=CacheStore(path))
         other.run(OP())
         assert STATS.op_cache_hits == 0  # fingerprint differs
+        # Same unknown count, so a foreign x would fit: it must not
+        # seed the solve either.
+        assert STATS.op_cache_warm_starts == 0
+        assert len(other.cache) == 1
+
+        STATS.reset()
+        larger = Session(larger_circuit(), store=CacheStore(path))
+        result = larger.run(OP())
+        assert STATS.op_cache_warm_starts == 0
+        assert result.voltage("in") == pytest.approx(5.0)

@@ -12,32 +12,25 @@ import pytest
 #: The AC linearisation (G from the compiled Jacobian, C from grouped
 #: or scalar ac_stamp) runs on both evaluator paths via the conftest
 #: fixture.
-pytestmark = [
-    pytest.mark.usefixtures("device_eval_path"),
-    # Deliberate legacy-entry-point coverage: the Session-API
-    # deprecation warning is expected here.
-    pytest.mark.filterwarnings(
-        "ignore:.*deprecated since the Session API:DeprecationWarning"
-    ),
-]
+pytestmark = pytest.mark.usefixtures("device_eval_path")
 
 from repro.errors import NetlistError
 from repro.spice import (
-    ACSweepChain,
+    ACSweep,
     ACSystem,
     Capacitor,
     Circuit,
     CurrentSource,
     OpAmp,
     Resistor,
+    Session,
+    SessionRecipe,
     SolverOptions,
     VoltageSource,
-    ac_analysis,
-    ac_solve_batch,
     log_frequencies,
+    run_plans,
     solve_dc,
 )
-from repro.spice.ac import solve_ac_chain
 from repro.spice.elements.base import Element
 from repro.spice.mna import MNASystem
 from repro.spice.stats import STATS
@@ -63,22 +56,23 @@ class TestRCLowPass:
 
     def test_matches_closed_form_across_five_decades(self):
         freqs = log_frequencies(1e3, 1e8, points_per_decade=7)
-        result = ac_analysis(rc_lowpass(self.R, self.C), freqs, options=TIGHT)
+        session = Session(rc_lowpass(self.R, self.C), options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=freqs)).ac_results[0]
         measured = result.phasor("out")
         exact = 1.0 / (1.0 + 2j * np.pi * freqs * self.R * self.C)
         np.testing.assert_allclose(measured, exact, rtol=1e-9)
 
     def test_magnitude_and_phase_at_the_corner(self):
-        result = ac_analysis(
-            rc_lowpass(self.R, self.C), [self.corner_hz()], options=TIGHT
-        )
+        session = Session(rc_lowpass(self.R, self.C), options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=[self.corner_hz()])).ac_results[0]
         phasor = result.phasor("out")[0]
         assert abs(phasor) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-9)
         assert np.degrees(np.angle(phasor)) == pytest.approx(-45.0, rel=1e-9)
 
     def test_corner_extraction(self):
         freqs = log_frequencies(1e3, 1e8, points_per_decade=20)
-        result = ac_analysis(rc_lowpass(self.R, self.C), freqs, options=TIGHT)
+        session = Session(rc_lowpass(self.R, self.C), options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=freqs)).ac_results[0]
         # The half-power point is 10*log10(2) = 3.0103 dB down; the
         # round "-3 dB" default lands 0.24% below the true corner.
         corner = result.corner_frequency("out", drop_db=10.0 * np.log10(2.0))
@@ -87,12 +81,14 @@ class TestRCLowPass:
         assert nominal == pytest.approx(self.corner_hz(), rel=5e-3)
 
     def test_input_node_is_the_excitation(self):
-        result = ac_analysis(rc_lowpass(), [1e4], options=TIGHT)
+        session = Session(rc_lowpass(), options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=[1e4])).ac_results[0]
         assert result.phasor("in")[0] == pytest.approx(1.0 + 0.0j, rel=1e-12)
 
     def test_bode_shape(self):
         freqs = log_frequencies(1e3, 1e6, points_per_decade=3)
-        result = ac_analysis(rc_lowpass(), freqs, options=TIGHT)
+        session = Session(rc_lowpass(), options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=freqs)).ac_results[0]
         f, mag, phase = result.bode("out")
         assert len(f) == len(mag) == len(phase) == len(freqs)
         assert np.all(np.diff(mag) < 0.0)
@@ -109,14 +105,15 @@ class TestRCDivider:
 
     def test_flat_across_frequency_at_the_dc_ratio(self):
         freqs = log_frequencies(1.0, 1e9, points_per_decade=3)
-        result = ac_analysis(self.divider(), freqs, options=TIGHT)
+        session = Session(self.divider(), options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=freqs)).ac_results[0]
         measured = result.phasor("mid")
         np.testing.assert_allclose(measured, 0.25 + 0.0j, rtol=1e-9)
 
     def test_resistive_sweep_factors_once(self):
         STATS.reset()
         freqs = log_frequencies(1.0, 1e6, points_per_decade=2)
-        ac_analysis(self.divider(), freqs, options=TIGHT)
+        Session(self.divider(), options=TIGHT).run(ACSweep(frequencies_hz=freqs))
         assert STATS.ac_solves == len(freqs)
         assert STATS.ac_factorizations == 1
         assert STATS.ac_factor_reuses == len(freqs) - 1
@@ -124,7 +121,7 @@ class TestRCDivider:
     def test_reactive_sweep_factors_per_frequency(self):
         STATS.reset()
         freqs = log_frequencies(1e3, 1e6, points_per_decade=2)
-        ac_analysis(rc_lowpass(), freqs, options=TIGHT)
+        Session(rc_lowpass(), options=TIGHT).run(ACSweep(frequencies_hz=freqs))
         assert STATS.ac_factorizations == len(freqs)
         assert STATS.ac_factor_reuses == 0
 
@@ -290,7 +287,8 @@ class TestOpAmpPole:
                   rail_high=5.0, pole_hz=pole)
         )
         freqs = log_frequencies(1e2, 1e7, points_per_decade=10)
-        result = ac_analysis(circuit, freqs, options=TIGHT)
+        session = Session(circuit, options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=freqs)).ac_results[0]
         measured = result.phasor("out")
         exact = gain / (1.0 + 1j * freqs / pole)
         np.testing.assert_allclose(measured, exact, rtol=1e-9)
@@ -301,9 +299,9 @@ class TestOpAmpPole:
         circuit.add(
             OpAmp("A1", "in", "0", "out", gain=50.0, rail_low=-5.0, rail_high=5.0)
         )
-        result = ac_analysis(
-            circuit, log_frequencies(1.0, 1e9, 2), options=TIGHT
-        )
+        freqs = log_frequencies(1.0, 1e9, 2)
+        session = Session(circuit, options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=freqs)).ac_results[0]
         np.testing.assert_allclose(result.phasor("out"), 50.0 + 0.0j, rtol=1e-9)
 
     def test_rejects_non_positive_pole(self):
@@ -319,7 +317,8 @@ class TestCurrentExcitation:
         circuit.add(Capacitor("C1", "n", "0", c))
         circuit.add(CurrentSource("I1", "0", "n", 0.0, ac_mag=1.0))
         freqs = log_frequencies(1e3, 1e7, points_per_decade=5)
-        result = ac_analysis(circuit, freqs, options=TIGHT)
+        session = Session(circuit, options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=freqs)).ac_results[0]
         exact = r / (1.0 + 2j * np.pi * freqs * r * c)
         np.testing.assert_allclose(result.phasor("n"), exact, rtol=1e-9)
 
@@ -357,38 +356,33 @@ class TestSourceValueSplit:
 class TestACBatch:
     FREQS = tuple(log_frequencies(1e3, 1e6, 2))
 
-    def test_chain_results_match_direct_analysis(self):
-        chain = ACSweepChain(
-            builder=rc_lowpass,
-            frequencies_hz=self.FREQS,
-            temperatures_k=(280.0, 300.0, 320.0),
-        )
-        results = solve_ac_chain(chain)
+    def test_temperature_grid_matches_per_temperature_sessions(self):
+        plan = ACSweep(frequencies_hz=self.FREQS, temperatures_k=(280.0, 300.0, 320.0))
+        results = Session(rc_lowpass).run(plan).ac_results
         assert len(results) == 3
-        for temperature, result in zip(chain.temperatures_k, results):
-            direct = ac_analysis(rc_lowpass(), self.FREQS, temperature_k=temperature)
-            np.testing.assert_allclose(result.x, direct.x, rtol=1e-12)
-
-    def test_batch_equals_serial_chains(self):
-        chains = [
-            ACSweepChain(
-                builder=rc_lowpass,
-                frequencies_hz=self.FREQS,
-                args=(1e3, capacitance),
+        for temperature, result in zip(plan.temperatures_k, results):
+            direct = Session(rc_lowpass(), temperature_k=temperature).run(
+                ACSweep(frequencies_hz=self.FREQS, temperatures_k=(temperature,))
             )
+            np.testing.assert_allclose(result.x, direct.ac_results[0].x, rtol=1e-12)
+
+    def test_batch_equals_serial_sessions(self):
+        plan = ACSweep(frequencies_hz=self.FREQS)
+        recipes = [
+            SessionRecipe(builder=rc_lowpass, args=(1e3, capacitance))
             for capacitance in (1e-9, 2e-9)
         ]
-        batches = ac_solve_batch(chains)
-        for chain, batch in zip(chains, batches):
-            expected = solve_ac_chain(chain)
-            assert len(batch) == len(expected)
-            for got, want in zip(batch, expected):
+        batches = run_plans([(recipe, plan) for recipe in recipes])
+        for recipe, batch in zip(recipes, batches):
+            expected = recipe.build().run(plan).ac_results
+            assert len(batch.ac_results) == len(expected)
+            for got, want in zip(batch.ac_results, expected):
                 np.testing.assert_allclose(got.x, want.x, rtol=1e-12)
                 assert got.op.strategy == want.op.strategy
 
     def test_batch_rehydrates_named_accessors(self):
-        chain = ACSweepChain(builder=rc_lowpass, frequencies_hz=self.FREQS)
-        [result] = ac_solve_batch([chain])[0]
+        pair = (SessionRecipe(builder=rc_lowpass), ACSweep(frequencies_hz=self.FREQS))
+        [result] = run_plans([pair])[0].ac_results
         assert result.phasor("out").shape == (len(self.FREQS),)
         assert result.op.voltage("in") == pytest.approx(1.0)
 
@@ -396,23 +390,23 @@ class TestACBatch:
 class TestValidation:
     def test_rejects_empty_frequency_grid(self):
         with pytest.raises(NetlistError):
-            ac_analysis(rc_lowpass(), [])
+            Session(rc_lowpass()).run(ACSweep(frequencies_hz=[]))
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(NetlistError):
-            ac_analysis(rc_lowpass(), [-1.0])
+            Session(rc_lowpass()).run(ACSweep(frequencies_hz=[-1.0]))
 
     def test_zero_frequency_is_the_dc_limit(self):
-        result = ac_analysis(rc_lowpass(), [0.0, 1.0], options=TIGHT)
+        session = Session(rc_lowpass(), options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=[0.0, 1.0])).ac_results[0]
         assert result.phasor("out")[0] == pytest.approx(1.0 + 0.0j, rel=1e-9)
 
     def test_crossing_bracketed_by_zero_frequency_is_finite(self):
         # A grid starting at 0 Hz has no log coordinate for its first
         # interval; the crossing must come back finite (linear interp),
         # never NaN.
-        result = ac_analysis(
-            rc_lowpass(), [0.0, 1e6, 1e7, 1e8], options=TIGHT
-        )
+        session = Session(rc_lowpass(), options=TIGHT)
+        result = session.run(ACSweep(frequencies_hz=[0.0, 1e6, 1e7, 1e8])).ac_results[0]
         corner = result.corner_frequency("out")
         assert corner is not None and np.isfinite(corner)
         assert 0.0 < corner < 1e6

@@ -3,14 +3,8 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.spice import Circuit, Resistor, VoltageSource, operating_point
+from repro.spice import OP, Circuit, Resistor, Session, VoltageSource
 from repro.spice.elements.controlled import CCCS, CCVS
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 
 
 def sense_circuit():
@@ -29,7 +23,7 @@ class TestCCCS:
         # +2 mA into node 'out'.
         circuit.add(CCCS("F1", "0", "out", vsense, gain=-2.0))
         circuit.add(Resistor("RL", "out", "0", 1e3))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         assert op.voltage("out") == pytest.approx(2.0, rel=1e-6)
 
     def test_rejects_branchless_control(self):
@@ -44,14 +38,14 @@ class TestCCVS:
         # v(out) = r * i(V1) = 500 * (-1 mA) = -0.5 V.
         circuit.add(CCVS("H1", "out", "0", vsense, r=500.0))
         circuit.add(Resistor("RL", "out", "0", 1e4))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         assert op.voltage("out") == pytest.approx(-0.5, rel=1e-6)
 
     def test_branch_current_available(self):
         circuit, vsense = sense_circuit()
         circuit.add(CCVS("H1", "out", "0", vsense, r=100.0))
         circuit.add(Resistor("RL", "out", "0", 1e3))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         # The CCVS output drives RL: i = v/RL through its own branch.
         assert op.branch_current("H1") == pytest.approx(
             -op.voltage("out") / 1e3, rel=1e-6
@@ -74,6 +68,6 @@ class TestCurrentMirrorIdiom:
         circuit.add(Resistor("RB", "refl", "0", 1.0))
         circuit.add(CCCS("F1", "0", "out", vref, gain=1.0))
         circuit.add(Resistor("RL", "out", "0", 10e3))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         i_ref = op.branch_current("VS")
         assert op.voltage("out") == pytest.approx(i_ref * 10e3, rel=1e-6)

@@ -6,19 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetlistError
 from repro.spice import (
+    OP,
     Circuit,
     CurrentSource,
     Resistor,
+    Session,
     VCCS,
     VCVS,
     VoltageSource,
-    operating_point,
-)
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
 )
 
 
@@ -28,7 +23,7 @@ class TestVoltageDivider:
         c.add(VoltageSource("V1", "in", "0", 10.0))
         c.add(Resistor("R1", "in", "out", 1e3))
         c.add(Resistor("R2", "out", "0", 1e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(5.0, rel=1e-9)
 
     @settings(max_examples=30)
@@ -42,7 +37,7 @@ class TestVoltageDivider:
         c.add(VoltageSource("V1", "in", "0", v))
         c.add(Resistor("R1", "in", "out", r1))
         c.add(Resistor("R2", "out", "0", r2))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(v * r2 / (r1 + r2), rel=1e-6, abs=1e-9)
 
     def test_source_current_sign(self):
@@ -50,7 +45,7 @@ class TestVoltageDivider:
         c = Circuit()
         c.add(VoltageSource("V1", "in", "0", 10.0))
         c.add(Resistor("R1", "in", "0", 1e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.branch_current("V1") == pytest.approx(-10e-3, rel=1e-9)
 
 
@@ -60,15 +55,17 @@ class TestCurrentSource:
         c = Circuit()
         c.add(CurrentSource("I1", "0", "out", 1e-3))
         c.add(Resistor("R1", "out", "0", 2e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(2.0, rel=1e-8)
 
     def test_temperature_dependent_value(self):
         c = Circuit()
         c.add(CurrentSource("I1", "0", "out", lambda t: 1e-6 * t))
         c.add(Resistor("R1", "out", "0", 1e3))
-        assert operating_point(c, 300.0).voltage("out") == pytest.approx(0.3, rel=1e-8)
-        assert operating_point(c, 400.0).voltage("out") == pytest.approx(0.4, rel=1e-8)
+        for temperature_k, expected in ((300.0, 0.3), (400.0, 0.4)):
+            session = Session(c, temperature_k=temperature_k)
+            out = session.run(OP(temperature_k=temperature_k)).voltage("out")
+            assert out == pytest.approx(expected, rel=1e-8)
 
 
 class TestKirchhoff:
@@ -86,7 +83,7 @@ class TestKirchhoff:
         c.add(CurrentSource("I1", "0", "a", i))
         c.add(Resistor("R1", "a", "b", r))
         c.add(Resistor("R2", "b", "0", r))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         system = MNASystem(c)
         assert system.kcl_residual(op.x) < 1e-11
 
@@ -95,7 +92,7 @@ class TestKirchhoff:
         c.add(VoltageSource("V1", "in", "0", 3.0))
         c.add(Resistor("R1", "in", "m", 1e3))
         c.add(Resistor("R2", "m", "0", 2e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         i1 = (op.voltage("in") - op.voltage("m")) / 1e3
         i2 = op.voltage("m") / 2e3
         # gmin at node m diverts ~2e-12 A of the ~1 mA branch current.
@@ -108,7 +105,7 @@ class TestControlledSources:
         c.add(VoltageSource("V1", "in", "0", 0.5))
         c.add(VCVS("E1", "out", "0", "in", "0", 10.0))
         c.add(Resistor("RL", "out", "0", 1e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(5.0, rel=1e-9)
 
     def test_vccs_transconductance(self):
@@ -116,7 +113,7 @@ class TestControlledSources:
         c.add(VoltageSource("V1", "in", "0", 2.0))
         c.add(VCCS("G1", "0", "out", "in", "0", 1e-3))
         c.add(Resistor("RL", "out", "0", 1e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         # 2 mA pushed into 'out' through 1k.
         assert op.voltage("out") == pytest.approx(2.0, rel=1e-9)
 
@@ -125,7 +122,7 @@ class TestControlledSources:
         c.add(VoltageSource("V1", "in", "0", 1.0))
         c.add(VCVS("E1", "out", "0", "0", "in", 4.0))
         c.add(Resistor("RL", "out", "0", 1e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(-4.0, rel=1e-9)
 
 
@@ -153,8 +150,10 @@ class TestResistorTemperature:
         c.add(VoltageSource("V1", "in", "0", 10.0))
         c.add(Resistor("R1", "in", "out", 1e3, tc1=2e-3))
         c.add(Resistor("R2", "out", "0", 1e3, tc1=2e-3))
-        cold = operating_point(c, 250.0).voltage("out")
-        hot = operating_point(c, 400.0).voltage("out")
+        cold, hot = (
+            Session(c, temperature_k=t).run(OP(temperature_k=t)).voltage("out")
+            for t in (250.0, 400.0)
+        )
         assert cold == pytest.approx(hot, rel=1e-9)
 
 
@@ -163,7 +162,7 @@ class TestBranchCurrentAccess:
         c = Circuit()
         c.add(VoltageSource("V1", "a", "0", 1.0))
         c.add(Resistor("R1", "a", "0", 1e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         with pytest.raises(NetlistError):
             op.branch_current("R1")
 
@@ -172,5 +171,5 @@ class TestBranchCurrentAccess:
         c.add(VoltageSource("V1", "a", "0", 1.0))
         c.add(Resistor("R1", "a", "b", 1e3))
         c.add(Resistor("R2", "b", "0", 1e3))
-        voltages = operating_point(c).voltages()
+        voltages = Session(c).run(OP()).voltages()
         assert set(voltages) == {"a", "b"}

@@ -11,22 +11,23 @@ import pytest
 
 #: Run the whole reuse/sparse contract on both device-evaluator paths
 #: (the conftest fixture flips REPRO_VECTORIZED).
-pytestmark = [
-    pytest.mark.usefixtures("device_eval_path"),
-    # Deliberate legacy-entry-point coverage: the Session-API
-    # deprecation warning is expected here.
-    pytest.mark.filterwarnings(
-        "ignore:.*deprecated since the Session API:DeprecationWarning"
-    ),
-]
+pytestmark = pytest.mark.usefixtures("device_eval_path")
 
 from repro.circuits.bandgap_cell import build_bandgap_cell
 from repro.circuits.startup import StartupRampConfig, build_startup_bandgap_cell
-from repro.spice import Circuit, Resistor, SolverOptions, VoltageSource, solve_dc
+from repro.spice import (
+    Circuit,
+    Resistor,
+    Session,
+    SolverOptions,
+    Transient,
+    VoltageSource,
+    solve_dc,
+)
 from repro.spice.elements.diode import Diode
 from repro.spice.mna import MNASystem
 from repro.spice.solver import NewtonWorkspace, _newton
-from repro.spice.transient import TransientOptions, transient_analysis
+from repro.spice.transient import TransientOptions
 
 
 def _diode_ladder(sections: int) -> Circuit:
@@ -64,11 +65,8 @@ class TestReusePolicy:
 
     def test_transient_reuses_factorizations_across_steps(self):
         circuit = build_startup_bandgap_cell(StartupRampConfig())
-        result = transient_analysis(
-            circuit,
-            2e-4,
-            options=TransientOptions(method="trap", adaptive=True),
-        )
+        options = TransientOptions(method="trap", adaptive=True)
+        result = Session(circuit).run(Transient(t_stop=2e-4, options=options)).result
         total_iterations = sum(result.step_iterations[1:])
         assert result.lu_reuses > 0
         assert result.factorizations < total_iterations
@@ -82,7 +80,7 @@ class TestReusePolicy:
             adaptive=True,
             newton=SolverOptions(reuse_lu=False),
         )
-        result = transient_analysis(circuit, 2e-4, options=options)
+        result = Session(circuit).run(Transient(t_stop=2e-4, options=options)).result
         assert result.lu_reuses == 0
 
 

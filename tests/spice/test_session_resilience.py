@@ -4,7 +4,8 @@ injected failure mode.
 
 The fan-out tests use ``REPRO_FAULTS`` (the environment spec) rather
 than an installed plan so pool workers see the same faults regardless
-of start method; ``share_sessions=False`` pins one group per pair so
+of start method.  Each fanned pair gets its own recipe (a builder
+kwarg differs), so ``run_plans`` forms one session group per pair and
 the supervised item index IS the pair index.
 """
 
@@ -28,8 +29,8 @@ from repro.spice import (
 from repro.spice.stats import STATS
 
 
-def diode_circuit():
-    c = Circuit("diode under drive")
+def diode_circuit(title="diode under drive"):
+    c = Circuit(title)
     c.add(VoltageSource("V1", "in", "0", 5.0))
     c.add(Resistor("R1", "in", "d", 1e3))
     c.add(Diode("D1", "d", "0"))
@@ -95,27 +96,26 @@ class TestRunPlansFaultEquality:
     }
 
     def _pairs(self):
-        recipe = SessionRecipe(builder=diode_circuit)
         return [
-            (recipe, OP(temperature_k=290.0 + 10.0 * i)) for i in range(4)
+            (
+                SessionRecipe(builder=diode_circuit, kwargs=(("title", f"pair {i}"),)),
+                OP(temperature_k=290.0 + 10.0 * i),
+            )
+            for i in range(4)
         ]
 
     @pytest.mark.parametrize("fault", sorted(FAULT_CASES))
     def test_fanned_equals_serial_under_fault(self, fault, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", self.FAULT_CASES[fault])
         STATS.reset()
-        serial = run_plans(
-            self._pairs(), workers=1, share_sessions=False, policy=RECORD
-        )
+        serial = run_plans(self._pairs(), workers=1, policy=RECORD)
         serial_counters = {
             k: v
             for k, v in STATS.as_dict().items()
             if k in ("retries", "timeouts", "worker_failures")
         }
         STATS.reset()
-        fanned = run_plans(
-            self._pairs(), workers=2, share_sessions=False, policy=RECORD
-        )
+        fanned = run_plans(self._pairs(), workers=2, policy=RECORD)
         fanned_counters = {
             k: v
             for k, v in STATS.as_dict().items()
@@ -130,12 +130,8 @@ class TestRunPlansFaultEquality:
 
     def test_terminal_fault_fails_only_its_pair(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "error@3")
-        serial = run_plans(
-            self._pairs(), workers=1, share_sessions=False, policy=RECORD
-        )
-        fanned = run_plans(
-            self._pairs(), workers=2, share_sessions=False, policy=RECORD
-        )
+        serial = run_plans(self._pairs(), workers=1, policy=RECORD)
+        fanned = run_plans(self._pairs(), workers=2, policy=RECORD)
         assert _normalize(serial) == _normalize(fanned)
         assert [o.status for o in serial] == ["ok", "ok", "ok", "failed"]
 
@@ -189,7 +185,6 @@ class TestMonteCarloPartialResults:
         outcomes = run_plans(
             [(recipe, self._plan()), (other, OP())],
             workers=2,
-            share_sessions=False,
             policy=RunPolicy(max_retries=0, on_failure="record"),
         )
         assert outcomes[0].ok and outcomes[1].ok
