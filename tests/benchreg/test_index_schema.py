@@ -2,6 +2,7 @@
 
 import json
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.benchreg.record import make_entry, record_campaign
 from repro.errors import BenchRegError
 
 CLOCK = datetime(2026, 7, 28, tzinfo=timezone.utc).timestamp()
+BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 def fake_host(tag="A"):
@@ -178,6 +180,70 @@ class TestProvenance:
         assert labels["numpy"] == "2.0.0"
         assert "fingerprint" not in labels  # composite, not a label
         assert "platform" not in labels
+
+    def test_recorded_entries_carry_no_source(self, tmp_path):
+        entry = make_entry(demo_rows(), entry_id="c0001", clock=lambda: CLOCK,
+                           host=fake_host(), sha="abc")
+        assert entry["source"] is None
+        # ``source`` only cites the pre-index snapshots; a new campaign
+        # cannot claim one.
+        with pytest.raises(TypeError):
+            make_entry(demo_rows(), entry_id="c0001", clock=lambda: CLOCK,
+                       host=fake_host(), sha="abc", source="BENCH_x.json")
+        with pytest.raises(TypeError):
+            record_campaign(tmp_path / "index.json", demo_rows(),
+                            clock=lambda: CLOCK, host=fake_host(), sha="abc",
+                            source="BENCH_x.json")
+        assert not (tmp_path / "index.json").exists()
+
+    def test_migration_helper_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.benchreg.migrate  # noqa: F401
+
+
+#: The two pre-index snapshots and the committed entries they became.
+LEGACY_SNAPSHOTS = (
+    ("c0001", "BENCH_2026-07-27.json"),
+    ("c0002", "BENCH_2026-07-27_session.json"),
+)
+
+
+class TestCommittedLegacyEntries:
+    """c0001/c0002 in ``benchmarks/index.json`` were lifted from the
+    hand-written ``BENCH_*.json`` snapshots, which stay committed next
+    to it.  The entries must keep citing and matching them."""
+
+    @pytest.fixture
+    def committed(self):
+        index = schema.load_index(BENCHMARKS_DIR / "index.json")
+        return {entry["id"]: entry for entry in index["entries"]}
+
+    @pytest.mark.parametrize("entry_id,filename", LEGACY_SNAPSHOTS)
+    def test_rows_equal_the_snapshot(self, committed, entry_id, filename):
+        snapshot = json.loads((BENCHMARKS_DIR / filename).read_text())
+        entry = committed[entry_id]
+        assert entry["source"] == filename
+        assert entry["rows"] == snapshot["entries"]
+
+    @pytest.mark.parametrize("entry_id,filename", LEGACY_SNAPSHOTS)
+    def test_metadata_comes_from_the_snapshot(self, committed, entry_id,
+                                              filename):
+        snapshot = json.loads((BENCHMARKS_DIR / filename).read_text())
+        entry = committed[entry_id]
+        assert entry["date"] == snapshot["date"]
+        assert entry["recorded_at"] == f"{snapshot['date']}T00:00:00Z"
+        assert entry["pr"] == snapshot["pr"]
+        assert entry["command"] == snapshot["command"]
+        assert entry["notes"] == snapshot["notes"]
+        assert entry["git_sha"] == "unknown"
+        assert entry["host"]["fingerprint"] == f"legacy:{snapshot['host']}"
+
+    def test_native_entries_follow_with_no_source(self, committed):
+        ids = list(committed)
+        assert ids[:2] == [entry_id for entry_id, _ in LEGACY_SNAPSHOTS]
+        native = [committed[entry_id] for entry_id in ids[2:]]
+        assert native, "expected a recorded campaign after the legacy ones"
+        assert all(entry["source"] is None for entry in native)
 
 
 class TestDefaultRows:

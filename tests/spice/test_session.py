@@ -421,6 +421,40 @@ class TestSessionMatchesEngine:
         assert_stamps_close(result.result.states, expected.states)
 
 
+#: The pre-Session entry points; README's "Removed legacy entry points"
+#: table maps each onto its plan.
+REMOVED_ENTRY_POINTS = (
+    "operating_point",
+    "dc_sweep",
+    "temperature_sweep",
+    "SweepChain",
+    "solve_batch",
+    "ac_analysis",
+    "ACSweepChain",
+    "solve_ac_chain",
+    "ac_solve_batch",
+    "transient_analysis",
+)
+
+
+class TestRemovedLegacySurface:
+    """Every analysis runs through Session; no second path comes back."""
+
+    @pytest.mark.parametrize("name", REMOVED_ENTRY_POINTS)
+    def test_entry_point_is_gone(self, name):
+        import repro.spice
+        from repro.spice import ac, analysis, transient
+
+        assert name not in repro.spice.__all__
+        for module in (repro.spice, analysis, ac, transient):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_run_plans_has_no_share_sessions_option(self):
+        pair = (SessionRecipe(builder=diode_circuit), OP())
+        with pytest.raises(TypeError):
+            run_plans([pair], workers=1, share_sessions=False)
+
+
 class TestRunManyAndRunPlans:
     def test_run_many_validates_everything_first(self):
         session = Session(diode_circuit)
