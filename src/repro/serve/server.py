@@ -46,6 +46,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body leave through the unbuffered socket writer as two
+    # small segments; with Nagle on, the body waits for the client's
+    # delayed ACK of the headers (~40 ms on every keep-alive response).
+    disable_nagle_algorithm = True
 
     # Quiet by default: the BaseHTTPRequestHandler per-request stderr
     # log is noise under pytest and CI.

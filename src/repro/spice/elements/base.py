@@ -129,7 +129,19 @@ class Stamp:
     ``transient`` is the :class:`TransientContext` of the step being
     solved, or ``None`` for DC (charge-storage elements then stamp
     nothing — a capacitor is an open circuit at DC).
+
+    ``wants_jacobian`` is False on the residual-only context the Newton
+    line search uses: every ``add_jacobian`` call is then discarded, so
+    an element may skip its derivative math and Jacobian adds entirely
+    when it sees the flag cleared.  The residual it stamps must stay
+    bit-identical to the one it stamps when the flag is set: compute
+    the currents with the same expressions in the same order, and only
+    leave out what feeds the Jacobian.  Ignoring the flag is always
+    correct, just slower.
     """
+
+    #: False when the caller discards Jacobian contributions (see above).
+    wants_jacobian = True
 
     __slots__ = (
         "x",

@@ -72,8 +72,8 @@ class SpiceBJT(Element):
         #: Memo of the last (vbe, vbc, t) junction evaluation.  The
         #: solver evaluates the residual at an accepted candidate and
         #: then assembles the Jacobian at that same iterate — back to
-        #: back — so one-deep memoisation halves the junction math on
-        #: every fresh Newton iteration.
+        #: back.  A currents-only entry holds ``(ic, ib)`` and never
+        #: serves a call that asks for derivatives.
         self._op_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -136,9 +136,14 @@ class SpiceBJT(Element):
         self._tcache = cache
         return cache
 
-    def currents_and_derivatives(self, vbe: float, vbc: float, t: float):
+    def currents_and_derivatives(self, vbe: float, vbc: float, t: float,
+                                 derivatives: bool = True):
         """Junction-convention ``(ic, ib, dic_dvbe, dic_dvbc, dib_dvbe,
         dib_dvbc)`` at temperature ``t``.
+
+        With ``derivatives=False`` only ``(ic, ib)`` is returned, from
+        the same expressions evaluated in the same order (the
+        residual-only stamp relies on the currents being bit-identical).
 
         The base-charge denominator ``1 - vbe/VAR - vbc/VAF`` is clamped
         at 0.05 to keep intermediate Newton iterates finite; converged
@@ -146,7 +151,11 @@ class SpiceBJT(Element):
         """
         cached = self._op_cache
         if cached is not None and cached[0] == (vbe, vbc, t):
-            return cached[1]
+            result = cached[1]
+            if not derivatives:
+                return result[:2]
+            if len(result) == 6:
+                return result
         p = self.params
         _, is_t, ise_t, bf_t, nf_vt, nr_vt, ne_vt = self._laws_at(t)
 
@@ -154,8 +163,6 @@ class SpiceBJT(Element):
         er, der = limited_exp(vbc / nr_vt)
         i_f = is_t * (ef - 1.0)
         i_r = is_t * (er - 1.0)
-        gif = is_t * def_ / nf_vt
-        gir = is_t * der / nr_vt
 
         # Base charge qb = q1 * (1 + sqrt(1 + 4 q2)) / 2
         inv_var = 0.0 if math.isinf(p.var) else 1.0 / p.var
@@ -165,30 +172,35 @@ class SpiceBJT(Element):
         if clamped:
             d = 0.05
         q1 = 1.0 / d
-        dq1_dvbe = 0.0 if clamped else q1 * q1 * inv_var
-        dq1_dvbc = 0.0 if clamped else q1 * q1 * inv_vaf
-        if math.isinf(p.ikf):
-            q2, dq2_dvbe = 0.0, 0.0
-        else:
-            q2 = i_f / p.ikf
-            dq2_dvbe = gif / p.ikf
+        unlimited_ikf = math.isinf(p.ikf)
+        q2 = 0.0 if unlimited_ikf else i_f / p.ikf
         root = math.sqrt(1.0 + 4.0 * max(q2, 0.0))
         h = 0.5 * (1.0 + root)
-        dh_dq2 = 1.0 / root
         qb = q1 * h
-        dqb_dvbe = dq1_dvbe * h + q1 * dh_dq2 * dq2_dvbe
-        dqb_dvbc = dq1_dvbc * h
-
         icc = (i_f - i_r) / qb
-        dicc_dvbe = gif / qb - icc * dqb_dvbe / qb
-        dicc_dvbc = -gir / qb - icc * dqb_dvbc / qb
 
         ele, dele = limited_exp(vbe / ne_vt)
 
         ic = icc - i_r / p.br
+        ib = i_f / bf_t + ise_t * (ele - 1.0) + i_r / p.br
+        if not derivatives:
+            result = (ic, ib)
+            self._op_cache = ((vbe, vbc, t), result)
+            return result
+
+        gif = is_t * def_ / nf_vt
+        gir = is_t * der / nr_vt
+        dq1_dvbe = 0.0 if clamped else q1 * q1 * inv_var
+        dq1_dvbc = 0.0 if clamped else q1 * q1 * inv_vaf
+        dq2_dvbe = 0.0 if unlimited_ikf else gif / p.ikf
+        dh_dq2 = 1.0 / root
+        dqb_dvbe = dq1_dvbe * h + q1 * dh_dq2 * dq2_dvbe
+        dqb_dvbc = dq1_dvbc * h
+        dicc_dvbe = gif / qb - icc * dqb_dvbe / qb
+        dicc_dvbc = -gir / qb - icc * dqb_dvbc / qb
+
         dic_dvbe = dicc_dvbe
         dic_dvbc = dicc_dvbc - gir / p.br
-        ib = i_f / bf_t + ise_t * (ele - 1.0) + i_r / p.br
         dib_dvbe = gif / bf_t + ise_t * dele / ne_vt
         dib_dvbc = gir / p.br
         result = (ic, ib, dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc)
@@ -211,9 +223,9 @@ class SpiceBJT(Element):
         ve = float(x[e]) if e >= 0 else 0.0
         vbe = s * (vb - ve)
         vbc = s * (vb - vc)
-        ic, ib, dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc = (
-            self.currents_and_derivatives(vbe, vbc, t)
-        )
+        wants_jacobian = stamp.wants_jacobian
+        currents = self.currents_and_derivatives(vbe, vbc, t, wants_jacobian)
+        ic, ib = currents[0], currents[1]
 
         # Terminal currents leaving each node into the device, with the
         # gmin junction conductances (B-E and B-C, for Jacobian
@@ -227,16 +239,20 @@ class SpiceBJT(Element):
         stamp.add_residual(b, i_b + i_be + i_bc)
         stamp.add_residual(e, -(i_c + i_b) - i_be)
 
-        # Chain rule: d vbe/dVb = s etc.; the s*s products cancel.
-        stamp.add_jacobian(c, b, dic_dvbe + dic_dvbc - gmin)
-        stamp.add_jacobian(c, e, -dic_dvbe)
-        stamp.add_jacobian(c, c, -dic_dvbc + gmin)
-        stamp.add_jacobian(b, b, dib_dvbe + dib_dvbc + gmin + gmin)
-        stamp.add_jacobian(b, e, -dib_dvbe - gmin)
-        stamp.add_jacobian(b, c, -dib_dvbc - gmin)
-        stamp.add_jacobian(e, b, -(dic_dvbe + dic_dvbc) - (dib_dvbe + dib_dvbc) - gmin)
-        stamp.add_jacobian(e, e, dic_dvbe + dib_dvbe + gmin)
-        stamp.add_jacobian(e, c, dic_dvbc + dib_dvbc)
+        if wants_jacobian:
+            _, _, dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc = currents
+            # Chain rule: d vbe/dVb = s etc.; the s*s products cancel.
+            stamp.add_jacobian(c, b, dic_dvbe + dic_dvbc - gmin)
+            stamp.add_jacobian(c, e, -dic_dvbe)
+            stamp.add_jacobian(c, c, -dic_dvbc + gmin)
+            stamp.add_jacobian(b, b, dib_dvbe + dib_dvbc + gmin + gmin)
+            stamp.add_jacobian(b, e, -dib_dvbe - gmin)
+            stamp.add_jacobian(b, c, -dib_dvbc - gmin)
+            stamp.add_jacobian(
+                e, b, -(dic_dvbe + dic_dvbc) - (dib_dvbe + dib_dvbc) - gmin
+            )
+            stamp.add_jacobian(e, e, dic_dvbe + dib_dvbe + gmin)
+            stamp.add_jacobian(e, c, dic_dvbc + dib_dvbc)
 
         if has_substrate:
             if self.substrate_drive is not None:
@@ -318,7 +334,9 @@ class SpiceBJT(Element):
         s = self.sign
         t = self.device_temperature(stamp)
         vc, vb, ve = stamp.v(c), stamp.v(b), stamp.v(e)
-        ic, ib, *_ = self.currents_and_derivatives(s * (vb - ve), s * (vb - vc), t)
+        ic, ib = self.currents_and_derivatives(
+            s * (vb - ve), s * (vb - vc), t, derivatives=False
+        )
         return (vc - ve) * s * ic + (vb - ve) * s * ib
 
 

@@ -79,13 +79,14 @@ class Diode(Element):
         # gmin in parallel with the junction keeps the Jacobian regular
         # at deep reverse bias / zero bias.
         i += stamp.gmin * vd
-        g += stamp.gmin
         stamp.add_residual(a, i)
         stamp.add_residual(c, -i)
-        stamp.add_jacobian(a, a, g)
-        stamp.add_jacobian(a, c, -g)
-        stamp.add_jacobian(c, a, -g)
-        stamp.add_jacobian(c, c, g)
+        if stamp.wants_jacobian:
+            g += stamp.gmin
+            stamp.add_jacobian(a, a, g)
+            stamp.add_jacobian(a, c, -g)
+            stamp.add_jacobian(c, a, -g)
+            stamp.add_jacobian(c, c, g)
 
     def power(self, stamp: Stamp) -> float:
         a, c = self._node_idx

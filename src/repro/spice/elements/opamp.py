@@ -92,7 +92,9 @@ class OpAmp(Element):
         #: One-deep memo of the last output/slope evaluation (the solver
         #: stamps the same iterate twice back to back: residual probe,
         #: then Jacobian assembly).  Keyed on every input including the
-        #: gain, which gain stepping mutates between stages.
+        #: gain, which gain stepping mutates between stages; a
+        #: value-only entry (slopes ``None``) never serves a call that
+        #: asks for the slopes.
         self._op_cache = None
 
     def offset_at(self, temperature_k: float) -> float:
@@ -114,7 +116,9 @@ class OpAmp(Element):
         supply_v: Optional[float] = None,
     ) -> float:
         """Clamped output voltage for a differential input [V]."""
-        value, _ = self._output_and_slope(vdiff, temperature_k, supply_v)
+        value, _ = self._output_and_slope(
+            vdiff, temperature_k, supply_v, derivatives=False
+        )
         return value
 
     def _effective_rail_high(self, supply_v: Optional[float]):
@@ -131,17 +135,27 @@ class OpAmp(Element):
         vdiff: float,
         temperature_k: float,
         supply_v: Optional[float] = None,
+        derivatives: bool = True,
     ):
+        """``(value, (slope, slope_rail))``; with ``derivatives=False``
+        the slopes are skipped and ``(value, None)`` is returned, the
+        value computed by the same expressions."""
         key = (vdiff, temperature_k, supply_v, self.gain, self.vos)
         cached = self._op_cache
         if cached is not None and cached[0] == key:
-            return cached[1]
+            result = cached[1]
+            if not derivatives or result[1] is not None:
+                return result
         rail_high, drail = self._effective_rail_high(supply_v)
         center = 0.5 * (rail_high + self.rail_low)
         swing = 0.5 * (rail_high - self.rail_low)
         arg = self.gain * (vdiff + self.offset_at(temperature_k)) / swing
         th = math.tanh(arg)
         value = center + swing * th
+        if not derivatives:
+            result = (value, None)
+            self._op_cache = (key, result)
+            return result
         slope = self.gain * (1.0 - th * th)
         # d value / d rail_high: the center and swing both move with the
         # rail, and the tanh argument shrinks as the window widens:
@@ -161,13 +175,18 @@ class OpAmp(Element):
             supply_v = stamp.v(vdd_idx)
         k = self.branch_index()
         i = stamp.v(k)
+        wants_jacobian = stamp.wants_jacobian
         stamp.add_residual(out, i)
-        stamp.add_jacobian(out, k, 1.0)
+        if wants_jacobian:
+            stamp.add_jacobian(out, k, 1.0)
         vdiff = stamp.v(inp) - stamp.v(inn)
-        value, (slope, slope_rail) = self._output_and_slope(
-            vdiff, self.device_temperature(stamp), supply_v
+        value, slopes = self._output_and_slope(
+            vdiff, self.device_temperature(stamp), supply_v, wants_jacobian
         )
         stamp.add_residual(k, stamp.v(out) - value)
+        if not wants_jacobian:
+            return
+        slope, slope_rail = slopes
         stamp.add_jacobian(k, out, 1.0)
         stamp.add_jacobian(k, inp, -slope)
         stamp.add_jacobian(k, inn, slope)

@@ -67,6 +67,8 @@ import numpy as np
 from ..errors import NetlistError
 from ..telemetry import tracer as _tele
 from .elements.base import DynamicState, Stamp, TransientContext
+from .elements.controlled import CCCS, CCVS, VCCS, VCVS
+from .elements.passives import Resistor
 from .groups import build_groups
 from .netlist import Circuit
 from .stats import STATS
@@ -106,14 +108,26 @@ def _sparse_threshold() -> int:
         return 200
 
 
-class _ResidualOnlyStamp(Stamp):
-    """Stamp variant that discards Jacobian contributions.
+#: Static linear element classes whose residual at ``x = 0`` is exactly
+#: zero (every term is a product with an unknown).  Refreshing
+#: ``b_static`` skips them; any other static linear element — the
+#: independent sources, or a class not listed here — is re-stamped.
+_ZERO_AT_ORIGIN = (Resistor, VCVS, VCCS, CCCS, CCVS)
 
-    Used by residual-only assembly (line searches evaluate |F| many
-    times per Newton iteration and never look at J).
+
+class _ResidualOnlyStamp(Stamp):
+    """Stamp variant for residual-only assembly (line searches evaluate
+    |F| many times per Newton iteration and never look at J).
+
+    ``wants_jacobian`` is False, so the device stamps (BJT, diode,
+    op-amp) compute their currents only and never call
+    :meth:`add_jacobian`; the no-op override still discards the entries
+    of elements that ignore the flag.
     """
 
     __slots__ = ()
+
+    wants_jacobian = False
 
     def add_jacobian(self, row: int, col: int, value: float) -> None:
         return None
@@ -191,6 +205,9 @@ class CompiledAssembler:
     ``b_static``
         Residual of the same group at ``x = 0`` (source injections,
         branch-equation targets); keyed by ``(source_scale, time)``.
+        When only that key moves, just the elements in
+        ``static_sources`` are re-stamped: the rest contribute exactly
+        zero at the origin.
     ``C_pattern``
         Jacobian of the dynamic linear elements at unit alpha — a
         capacitance pattern; computed once, scaled by the step's alpha.
@@ -220,6 +237,9 @@ class CompiledAssembler:
             el for el in elements if el.is_linear and not el.is_dynamic
         ]
         self.linear_dynamic = [el for el in elements if el.is_linear and el.is_dynamic]
+        self.static_sources = [
+            el for el in self.linear_static if type(el) not in _ZERO_AT_ORIGIN
+        ]
         self.nonlinear = [el for el in elements if not el.is_linear]
         # vectorized: None = env default with the adaptive size
         # threshold; True = force grouping regardless of size (the
@@ -319,14 +339,18 @@ class CompiledAssembler:
 
     def _static_residual_pass(self, gmin: float, source_scale: float,
                               time: Optional[float]) -> None:
-        """Refresh only ``b_static`` (source values moved, J unchanged)."""
+        """Refresh only ``b_static`` (source values moved, J unchanged).
+
+        Bit-identical to the full pass's residual: the skipped elements
+        would only add signed zeros.
+        """
         size = self.system.size
         residual = np.zeros(size)
         stamp = self._base_stamp(
             _ResidualOnlyStamp, np.zeros(size), None, residual, gmin,
             source_scale, time, None,
         )
-        for el in self.linear_static:
+        for el in self.static_sources:
             el.stamp(stamp)
         self._b_static = residual
         self._b_static_key = (source_scale, time)

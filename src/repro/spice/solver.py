@@ -18,7 +18,9 @@ Damping is two-fold: the Newton step is scaled so no unknown moves more
 than ``max_step_v`` per iteration (the guard against the junction
 exponential catapulting the iterate), and a backtracking line search
 halves the step until the residual norm actually decreases (the guard
-against rail-to-rail oscillation in stiff op-amp loops).
+against rail-to-rail oscillation in stiff op-amp loops).  A run whose
+line search finds no decrease on any rung ends there, as failed, and
+hands over to the next strategy.
 
 Linear algebra goes through a :class:`NewtonWorkspace` implementing the
 production-SPICE factorization policy:
@@ -485,18 +487,10 @@ def _newton_run(
             if trial_norm < norm:
                 accepted = candidate
                 break
-        if accepted is not None:
-            x, residual, abs_residual, norm = accepted, trial, abs_trial, trial_norm
-        else:
-            # No descent anywhere on the ladder: take the smallest rung.
-            # That candidate was the ladder's last evaluation, so its
-            # residual is already in hand.
-            x, residual, abs_residual, norm = candidate, trial, abs_trial, trial_norm
-        best_norm = min(best_norm, norm)
         if trc is not None:
             record = {
                 "i": iteration,
-                "residual": norm,
+                "residual": trial_norm,
                 "step": max_step,
                 "damping": damping,
                 "kind": "factor",
@@ -507,6 +501,19 @@ def _newton_run(
         # Whatever happens next, this factorization refers to a bygone
         # iterate.
         ws.stale = True
+        if accepted is None:
+            # No descent anywhere on the ladder, down to 2**-11 of the
+            # clamped step: the iterate sits at a stationary point of
+            # |F| or where the Jacobian misleads.  Runs in that state
+            # practically never recover, and each further iteration
+            # costs a factorization plus a full ladder of residuals, so
+            # end the run and let the fallbacks (gain/gmin/source
+            # stepping, the transient step cut) start now.
+            if trc is not None:
+                trc.annotate(reason="no_descent")
+            return None
+        x, residual, abs_residual, norm = accepted, trial, abs_trial, trial_norm
+        best_norm = min(best_norm, norm)
     return None
 
 

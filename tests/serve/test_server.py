@@ -6,7 +6,10 @@ down in fixtures, so the suite leaks no sockets (the repo-wide
 ResourceWarning into a failure).
 """
 
+import http.client
 import json
+import statistics
+import time
 import urllib.request
 
 import pytest
@@ -121,6 +124,24 @@ class TestEndpoints:
         assert "repro_serve_queue_depth 0" in text
         assert "repro_serve_jobs_running 0" in text
         assert "repro_serve_sessions_pooled 1" in text
+
+    def test_keepalive_responses_do_not_wait_for_delayed_ack(self, server):
+        # Header and body go out as two writes; with Nagle's algorithm on
+        # the body waits for the client's delayed ACK, ~40 ms per request.
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            round_trips = []
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+                round_trips.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(round_trips) < 0.020
 
     def test_shutdown_drains_and_stops(self, server, client):
         job_id = client.submit(REQUEST)

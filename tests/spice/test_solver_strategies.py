@@ -8,11 +8,22 @@ budgets) that deterministically exercise each rung, so a refactor that
 silently reorders or breaks a rung fails loudly.
 """
 
+import json
+import pathlib
+
+import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
 from repro.spice import Circuit, Resistor, SolverOptions, VoltageSource, solve_dc
+from repro.spice.elements.base import Element
 from repro.spice.elements.diode import Diode
+from repro.spice.mna import MNASystem
+from repro.spice.solver import _newton, solve_dc_system
+from repro.spice.stats import STATS
+from repro.telemetry.tracer import tracing
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
 
 
 def diode_chain(n_diodes: int, load_ohm: float = 1e3, supply_v: float = 2.5) -> Circuit:
@@ -101,3 +112,100 @@ class TestSourceStepping:
         options = SolverOptions(max_iterations=2, gmin_ladder=())
         with pytest.raises(ConvergenceError):
             solve_dc(diode_chain(4, load_ohm=10.0), options=options)
+
+
+class _SquarePlusOne(Element):
+    """Draws ``v**2 + 1`` A from ``a`` to ``b``, ``v = v(a) - v(b)``:
+    ``|F|`` has a minimum at ``v = 0`` that is not a root, so no damping
+    rung ever descends from there."""
+
+    is_nonlinear = True
+
+    def __init__(self, name: str, a: str, b: str):
+        super().__init__(name, (a, b))
+
+    def stamp(self, stamp) -> None:
+        a, b = self._node_idx
+        v = stamp.v(a) - stamp.v(b)
+        current, slope = v * v + 1.0, 2.0 * v
+        stamp.add_residual(a, current)
+        stamp.add_residual(b, -current)
+        stamp.add_jacobian(a, a, slope)
+        stamp.add_jacobian(a, b, -slope)
+        stamp.add_jacobian(b, a, -slope)
+        stamp.add_jacobian(b, b, slope)
+
+
+def _newton_spans(tracer):
+    def walk(span):
+        yield span
+        for child in span.children:
+            yield from walk(child)
+
+    return [
+        span
+        for root in tracer.roots
+        for span in walk(root)
+        if span.name == "newton_solve"
+    ]
+
+
+class TestLadderExhaustion:
+    """A Newton run ends at its first iteration whose damping ladder
+    finds no residual decrease, instead of stepping on from the
+    smallest rung until the stall window gives up."""
+
+    def _system(self):
+        circuit = Circuit("no descent")
+        circuit.add(_SquarePlusOne("X1", "n", "0"))
+        return MNASystem(circuit)
+
+    def test_run_ends_after_one_factor_iteration(self):
+        system = self._system()
+        before = STATS.snapshot()
+        solution = _newton(
+            system, np.zeros(system.size), SolverOptions(), gmin=1e-12,
+            source_scale=1.0,
+        )
+        delta = STATS.delta_since(before)
+        assert solution is None
+        assert delta["iterations"] == 1
+        assert delta["factorizations"] == 1
+        # The initial residual plus one full ladder (full step, clamp,
+        # eleven halvings); no second iteration.
+        assert delta["residual_evaluations"] == 1 + 13
+
+    def test_traced_span_names_the_reason(self):
+        system = self._system()
+        with tracing(detail="full") as tracer:
+            solution = _newton(
+                system, np.zeros(system.size), SolverOptions(), gmin=1e-12,
+                source_scale=1.0, phase="plain",
+            )
+        assert solution is None
+        (span,) = _newton_spans(tracer)
+        assert span.attrs["reason"] == "no_descent"
+        assert span.attrs["converged"] is False
+        assert [record["kind"] for record in span.iterations] == ["factor"]
+
+    def test_cold_startup_op_plain_run_ends_early(self):
+        """The bandgap startup cell's cold post-ramp OP: plain Newton
+        cannot converge without gain stepping, and used to grind for 81
+        iterations (13 residuals each) before the stall check fired."""
+        from repro.circuits.startup import (
+            StartupRampConfig,
+            build_startup_bandgap_cell,
+        )
+
+        golden = json.loads((GOLDEN_DIR / "startup_bandgap.json").read_text())
+        circuit = build_startup_bandgap_cell(StartupRampConfig())
+        system = MNASystem(circuit, temperature_k=golden["temperature_k"])
+        with tracing(detail="full") as tracer:
+            raw = solve_dc_system(system, time=golden["time"])
+        plain = [s for s in _newton_spans(tracer) if s.attrs["phase"] == "plain"]
+        assert len(plain) == 1
+        assert plain[0].attrs["reason"] == "no_descent"
+        assert len(plain[0].iterations) <= 15
+        assert raw.strategy == "gain-stepping"
+        vref = raw.x[circuit.node_index("vref")]
+        assert vref == pytest.approx(golden["vref"], rel=0.0, abs=1e-9)
