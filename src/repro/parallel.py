@@ -195,6 +195,9 @@ class _Supervisor:
         todo = [(index, 1) for index in range(len(self.work))]
         pool = None
         rebuilds_left = self.policy.max_pool_rebuilds
+        # True once a worker may still be busy with an item nobody waits
+        # for any more (a deadline expired, or an exception escapes).
+        abandoned = False
         try:
             while todo:
                 if pool is None:
@@ -245,6 +248,7 @@ class _Supervisor:
                     try:
                         envelope = future.result(timeout=self.policy.timeout_s)
                     except FuturesTimeout:
+                        abandoned = True
                         error = ItemTimeout(
                             f"work item {index} exceeded its "
                             f"{self.policy.timeout_s} s deadline (attempt {attempt})"
@@ -269,7 +273,10 @@ class _Supervisor:
                     self._handle_envelope(envelope, index, attempt)
                 if broken is not None:
                     _stats().worker_failures += 1
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    # The manager thread has already terminated the
+                    # workers of a broken pool; join it before the
+                    # rebuild forks again.
+                    pool.shutdown(wait=True, cancel_futures=True)
                     pool = None
                     done = len(self.work) - len(unfinished) - len(self.retry_next)
                     if rebuilds_left > 0:
@@ -318,9 +325,23 @@ class _Supervisor:
                     ]
                 else:
                     todo = []
+        except BaseException:
+            abandoned = True
+            raise
         finally:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                if abandoned:
+                    # Nobody waits for what a stuck worker still runs;
+                    # kill the workers so neither the join below nor
+                    # interpreter exit (which joins every pool) hangs
+                    # on it.
+                    for process in list((pool._processes or {}).values()):
+                        process.kill()
+                # Join the pool: its workers and manager thread end
+                # here instead of tearing down in the background while
+                # the caller forks the next pool (fork with live threads
+                # is how pool children deadlock).
+                pool.shutdown(wait=True, cancel_futures=True)
 
 
 def supervised_map(

@@ -32,8 +32,10 @@ class RunPolicy:
       (the default) retries immediately.
     * ``timeout_s`` — per-item deadline.  In pool execution the
       supervisor waits at most this long for the item's result once it
-      begins waiting on it; in serial execution the item runs on a
-      watchdog thread with the same deadline.  ``None`` disables it.
+      begins waiting on it, and the pool's workers are killed when the
+      map returns, so a stuck item never outlives it; in serial
+      execution the item runs on a watchdog thread with the same
+      deadline.  ``None`` disables it.
     * ``on_failure`` — what a terminally failed item does to the batch:
       ``"raise"`` re-raises the original exception (legacy
       ``parallel_map`` semantics), ``"record"`` keeps a failed

@@ -6,7 +6,9 @@ Pool work functions live at module level (the pickling convention of the
 whole fan-out stack).
 """
 
+import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -107,7 +109,14 @@ class TestSupervisedCall:
 
     def test_deadline_on_watchdog_thread(self):
         policy = RunPolicy(timeout_s=0.05, on_failure="record")
-        outcome = supervised_call(lambda: time.sleep(10), policy=policy)
+        release = threading.Event()
+        try:
+            outcome = supervised_call(lambda: release.wait(10), policy=policy)
+        finally:
+            # The abandoned watchdog thread must not outlive the test:
+            # the pool tests below fork, and fork with live threads is
+            # how pool children deadlock.
+            release.set()
         assert outcome.status == "timed_out"
         assert isinstance(outcome.error, ItemTimeout)
         assert STATS.timeouts == 1
@@ -257,6 +266,23 @@ class TestPoolFailureTaxonomy:
         )
         pids = {o.worker_pid for o in outcomes}
         assert os.getpid() not in pids
+
+    @pytest.mark.parametrize(
+        "func, items, policy",
+        [
+            (square, [1, 2, 3], RECORD),
+            (sleeps_forever, ["a", "slow"], RunPolicy(timeout_s=0.5, on_failure="record")),
+        ],
+        ids=["finished", "timed_out"],
+    )
+    def test_no_worker_or_thread_outlives_the_call(self, func, items, policy):
+        # A pool torn down in the background would still be running
+        # when the next fan-out forks; a stuck worker would also hold
+        # up interpreter exit, which joins every pool.
+        threads_before = threading.active_count()
+        supervised_map(func, items, policy=policy, max_workers=2)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads_before
 
 
 class TestObservability:
