@@ -6,6 +6,11 @@ base-width modulation (reverse Early voltage ``VAR``), high-injection
 roll-off, series resistances, the parasitic substrate PNP that plagues
 the paper's low-voltage test cell, and the matched pair used by the
 test structure (paper Fig. 2).
+
+:mod:`repro.bjt.laws` holds each junction law once — ``IS(T)``, the
+Gummel-Poon currents and derivatives, the depletion and diode laws —
+for floats and arrays; the simulator's scalar stamps and device groups
+and this package's analytical model all call it.
 """
 
 from .parameters import BJTParameters, PAPER_PNP_SMALL, PAPER_PNP_LARGE

@@ -2,7 +2,8 @@
 
 Everything the extraction methods consume comes from here:
 
-* :meth:`GummelPoonModel.is_at` — the SPICE temperature law, paper eq. 1;
+* :meth:`GummelPoonModel.is_at` — the SPICE temperature law, paper eq. 1
+  (:func:`repro.bjt.laws.saturation_current`, shared with the simulator);
 * :meth:`GummelPoonModel.collector_current` — forward transport current
   with base-width modulation (``VAR``/``VAF`` through the normalised base
   charge ``qb``) and high-injection roll-off (``IKF``);
@@ -26,6 +27,11 @@ from scipy.optimize import brentq
 
 from ..constants import K_BOLTZMANN_EV, thermal_voltage
 from ..errors import ModelError
+from .laws import (
+    forward_beta,
+    leakage_saturation_current,
+    transport_saturation_current,
+)
 from .parameters import BJTParameters
 
 #: Junction voltages are solved within [0, _VBE_MAX] volts.
@@ -50,34 +56,26 @@ class GummelPoonModel:
 
     def is_at(self, temperature_k: float) -> float:
         """Saturation current at ``temperature_k`` (paper eq. 1) [A]."""
-        p = self.params
         if temperature_k <= 0.0:
             raise ModelError("IS(T) requires a positive temperature")
-        ratio = temperature_k / p.tnom
-        exponent = (p.eg / K_BOLTZMANN_EV) * (1.0 / p.tnom - 1.0 / temperature_k)
-        return p.is_ * ratio**p.xti * math.exp(exponent)
+        return transport_saturation_current(self.params, temperature_k, math.exp)
 
     def bf_at(self, temperature_k: float) -> float:
         """Forward beta at temperature (SPICE ``BF*(T/TNOM)**XTB``)."""
-        p = self.params
-        return p.bf * (temperature_k / p.tnom) ** p.xtb
+        return forward_beta(self.params, temperature_k)
 
     def ise_at(self, temperature_k: float) -> float:
-        """B-E leakage saturation current at temperature.
-
-        SPICE law: ``ISE(T) = ISE * (T/TNOM)**(XTI/NE - XTB)
-        * exp(EG/(NE*k) * (1/TNOM - 1/T))``.
-        """
-        p = self.params
-        ratio = temperature_k / p.tnom
-        exponent = (p.eg / (p.ne * K_BOLTZMANN_EV)) * (1.0 / p.tnom - 1.0 / temperature_k)
-        return p.ise * ratio ** (p.xti / p.ne - p.xtb) * math.exp(exponent)
+        """B-E leakage saturation current at temperature (SPICE
+        ``ISE*(T/TNOM)**(XTI/NE - XTB)*exp(EG/(NE*k)*(1/TNOM - 1/T))``)."""
+        return leakage_saturation_current(self.params, temperature_k, math.exp)
 
     # ------------------------------------------------------------------
     # Junction-referred currents
     # ------------------------------------------------------------------
-    def _qb(self, vbe: float, vbc: float, temperature_k: float) -> float:
-        """Normalised base charge ``qb = q1/2 * (1 + sqrt(1 + 4*q2))``."""
+    def _qb(self, vbe: float, vbc: float, temperature_k: float,
+            is_t: float) -> float:
+        """Normalised base charge ``qb = q1/2 * (1 + sqrt(1 + 4*q2))``
+        (``is_t`` is ``IS`` at ``temperature_k``)."""
         p = self.params
         denom = 1.0 - vbe / p.var - vbc / p.vaf
         if denom <= 0.0:
@@ -89,7 +87,7 @@ class GummelPoonModel:
             q2 = 0.0
         else:
             nf_vt = p.nf * self.vt(temperature_k)
-            q2 = (self.is_at(temperature_k) / p.ikf) * math.expm1(vbe / nf_vt)
+            q2 = (is_t / p.ikf) * math.expm1(vbe / nf_vt)
         return 0.5 * q1 * (1.0 + math.sqrt(1.0 + 4.0 * max(q2, 0.0)))
 
     def collector_current(
@@ -106,7 +104,7 @@ class GummelPoonModel:
         vt = self.vt(temperature_k)
         is_t = self.is_at(temperature_k)
         transport = math.expm1(vbe / (p.nf * vt)) - math.expm1(vbc / (p.nr * vt))
-        return is_t * transport / self._qb(vbe, vbc, temperature_k)
+        return is_t * transport / self._qb(vbe, vbc, temperature_k, is_t)
 
     def base_current(self, vbe: float, temperature_k: float) -> float:
         """Base current: ideal ``IC-like/BF`` plus ``ISE`` leakage [A]."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from ..constants import K_BOLTZMANN_EV
 from ..errors import ModelError
+from .laws import saturation_current
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,10 @@ class SubstratePNP:
         drive = self.saturation_drive(vce_headroom)
         if drive == 0.0:
             return 0.0
-        ratio = temperature_k / self.t_ref
-        exponent = (self.eg / K_BOLTZMANN_EV) * (1.0 / self.t_ref - 1.0 / temperature_k)
-        return self.i_leak_ref * self.area * ratio**self.xti * math.exp(exponent) * drive
+        return saturation_current(
+            self.i_leak_ref * self.area, temperature_k, self.t_ref, self.xti,
+            self.eg / K_BOLTZMANN_EV, math.exp,
+        ) * drive
 
     def scaled(self, area_factor: float) -> "SubstratePNP":
         """Return a copy with the area multiplied (QB = QA.scaled(8))."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from ..constants import K_BOLTZMANN_EV
+from ..bjt.laws import saturation_current
 from ..errors import ModelError
 from .bandgap import ThurmondLogBandgap
 from .mobility import MobilityPowerLaw
@@ -111,9 +112,9 @@ class PhysicalSaturationCurrent:
         if temperature_k <= 0.0:
             raise ModelError("IS(T) requires a positive temperature")
         eg, xti = self.spice_parameters()
-        ratio = temperature_k / self.t_ref
-        exponent = (eg / K_BOLTZMANN_EV) * (1.0 / self.t_ref - 1.0 / temperature_k)
-        return self.is_ref * ratio**xti * math.exp(exponent)
+        return saturation_current(
+            self.is_ref, temperature_k, self.t_ref, xti, eg / K_BOLTZMANN_EV, math.exp
+        )
 
     def is_component_form(self, temperature_k: float) -> float:
         """``IS(T)`` as the product of the physical factors (paper eq. 2).

@@ -205,7 +205,7 @@ class ACSystem:
         # Grouped fast path: vectorized devices assemble their junction
         # dQ/dV in one pass per group; everything else (and every
         # element when REPRO_VECTORIZED=0 or REPRO_COMPILED=0) stamps
-        # scalar, so the two paths stay comparable term for term.
+        # scalar.  Both evaluate the same laws (repro.bjt.laws).
         grouped_ids = set()
         assembler = getattr(system, "_assembler", None)
         if assembler is not None and assembler.groups:

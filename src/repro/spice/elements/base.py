@@ -22,36 +22,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Exponential arguments beyond this are linearised to keep Newton finite.
-#: The cap must sit ABOVE any physically converged junction argument, or
-#: the linear continuation manufactures spurious equilibria: at 193 K the
-#: library's PNPs run at vbe/(n*VT) ~ 54 because IS(193 K) ~ 1e-28 A, so
-#: a conservative 120 covers the whole -80..+145 C range of the paper
-#: while exp(120) ~ 1.3e52 stays comfortably inside float64.
-_MAX_EXP_ARG = 120.0
-
-
-def limited_exp(arg: float) -> Tuple[float, float]:
-    """Return ``(exp(arg), d/darg exp(arg))`` with linear continuation.
-
-    Beyond the cap the function continues linearly with the slope at the
-    boundary; this keeps junction stamps finite for the wild intermediate
-    iterates Newton can produce, without affecting converged solutions
-    (see the cap's comment for why it must clear every physical bias).
-
-    Overflow audit: ``math.exp`` is only ever evaluated at or below the
-    cap (``exp(120) ~ 1.3e52``), so this scalar path can neither raise
-    ``OverflowError`` nor produce ``inf``.  The vectorized twin
-    (``repro.spice.groups._limited_exp_array``) upholds the same
-    invariant by clamping the argument *before* ``np.exp`` — the test
-    suite promotes warnings to errors to keep both paths silent on
-    arbitrarily extreme trial points.
-    """
-    if arg <= _MAX_EXP_ARG:
-        value = math.exp(arg)
-        return value, value
-    edge = math.exp(_MAX_EXP_ARG)
-    return edge * (1.0 + (arg - _MAX_EXP_ARG)), edge
+# The overflow-limited exponential of every junction law; re-exported
+# here as part of the element toolkit.
+from ...bjt.laws import _MAX_EXP_ARG, limited_exp  # noqa: F401
 
 
 class DynamicState:
@@ -317,6 +290,21 @@ class Element:
         self.temperature_override: Optional[float] = None
         self._node_idx: Tuple[int, ...] = ()
         self._branch_offset: int = -1
+
+    def domain_error(self, attribute: str, value: float) -> Optional[str]:
+        """Why ``value`` is outside the domain of the numeric
+        ``attribute``, or ``None`` if it is inside.
+
+        Plan validation asks this of every override, and device
+        constructors of their own parameters, so an out-of-domain value
+        ends in a typed error before any solve.  Subclasses extend it
+        for their parameters.
+        """
+        if attribute == "temperature_override" and not (
+            math.isfinite(value) and value > 0.0
+        ):
+            return f"temperature_override must be positive and finite, got {value}"
+        return None
 
     # -- binding -------------------------------------------------------
     def bind(self, node_indices: Sequence[int], branch_offset: int) -> None:

@@ -23,24 +23,25 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from ...bjt.laws import (
+    depletion_capacitance,
+    gummel_poon_currents,
+    gummel_poon_derivatives,
+    gummel_poon_laws,
+)
 from ...bjt.parameters import BJTParameters
 from ...bjt.substrate import SubstratePNP
-from ...constants import K_BOLTZMANN_EV, thermal_voltage
 from ...errors import NetlistError
-from .base import Element, Stamp, limited_exp
+from .base import Element, Stamp
 from .passives import Resistor
 
 
 class SpiceBJT(Element):
     """Three-terminal Gummel-Poon transistor (collector, base, emitter).
 
-    Overflow audit (the vectorized group evaluator must replicate this
-    stamp warning-free at arbitrary trial points): every exponential in
-    the junction math goes through :func:`limited_exp` — never evaluated
-    past the cap — the base-charge denominator is clamped at 0.05, the
-    knee ``sqrt`` argument at 0, and the depletion law is linearised
-    past FC*VJ, so no operand of this model can overflow or go NaN for
-    any finite iterate.
+    The junction math is :mod:`repro.bjt.laws`, shared with the
+    vectorized :class:`~repro.spice.groups.BJTGroup`; its overflow audit
+    covers this stamp at any finite iterate.
     """
 
     is_nonlinear = True
@@ -64,17 +65,17 @@ class SpiceBJT(Element):
         self.substrate: Optional[SubstratePNP] = None
         self.substrate_node: str = "0"
         self.substrate_drive: Optional[float] = None
-        #: Memo of the temperature-law evaluations (IS, ISE, BF, n*VT
-        #: products) at the last requested temperature.  The stamp is
-        #: re-evaluated hundreds of times per solve at a single device
-        #: temperature, and each law costs a pow+exp.
+        #: Memo of the temperature laws (IS, ISE, BF, n*VT products and
+        #: the card's law constants) at the last requested temperature.
+        #: The stamp is re-evaluated hundreds of times per solve at a
+        #: single device temperature, and each law costs a pow+exp.
         self._tcache: Optional[tuple] = None
-        #: Memo of the last (vbe, vbc, t) junction evaluation.  The
-        #: solver evaluates the residual at an accepted candidate and
-        #: then assembles the Jacobian at that same iterate — back to
-        #: back.  A currents-only entry holds ``(ic, ib)`` and never
-        #: serves a call that asks for derivatives.
-        self._op_cache: Optional[tuple] = None
+        #: Memo of the last (vbe, vbc, t) junction evaluation:
+        #: ``[point, result, core]``.  The solver evaluates the residual
+        #: at an accepted candidate and then assembles the Jacobian at
+        #: that same iterate — back to back.  ``result`` is ``(ic, ib)``
+        #: until a full call completes it to all six values.
+        self._op_cache: Optional[list] = None
 
     # ------------------------------------------------------------------
     def attach_substrate(
@@ -90,121 +91,50 @@ class SpiceBJT(Element):
         Must be called before the circuit is assembled (the substrate
         node has to be registered).
         """
-        if drive is not None and not 0.0 <= drive <= 1.0:
-            raise NetlistError(f"{self.name}: substrate drive must be in [0, 1]")
+        if drive is not None:
+            problem = self.domain_error("substrate_drive", drive)
+            if problem is not None:
+                raise NetlistError(f"{self.name}: {problem}")
         self.substrate = substrate
         self.substrate_node = substrate_node
         self.substrate_drive = drive
         self.nodes = (self.nodes[0], self.nodes[1], self.nodes[2], substrate_node)
         return self
 
+    def domain_error(self, attribute: str, value: float):
+        if attribute == "substrate_drive" and not 0.0 <= value <= 1.0:
+            return f"substrate drive must be in [0, 1], got {value}"
+        return super().domain_error(attribute, value)
+
     # ------------------------------------------------------------------
-    def _is_at(self, t: float) -> float:
-        p = self.params
-        ratio = t / p.tnom
-        return p.is_ * ratio**p.xti * math.exp(
-            (p.eg / K_BOLTZMANN_EV) * (1.0 / p.tnom - 1.0 / t)
-        )
-
-    def _ise_at(self, t: float) -> float:
-        p = self.params
-        ratio = t / p.tnom
-        return p.ise * ratio ** (p.xti / p.ne - p.xtb) * math.exp(
-            (p.eg / (p.ne * K_BOLTZMANN_EV)) * (1.0 / p.tnom - 1.0 / t)
-        )
-
-    def _bf_at(self, t: float) -> float:
-        p = self.params
-        return p.bf * (t / p.tnom) ** p.xtb
-
     def _laws_at(self, t: float) -> tuple:
-        """Memoised temperature laws ``(is, ise, bf, nf*vt, nr*vt, ne*vt)``."""
+        """Memoised :func:`~repro.bjt.laws.gummel_poon_laws` at ``t``."""
         cache = self._tcache
-        if cache is not None and cache[0] == t:
-            return cache
-        p = self.params
-        vt = thermal_voltage(t)
-        cache = (
-            t,
-            self._is_at(t),
-            self._ise_at(t),
-            self._bf_at(t),
-            p.nf * vt,
-            p.nr * vt,
-            p.ne * vt,
-        )
-        self._tcache = cache
-        return cache
+        if cache is None or cache[0] != t:
+            cache = self._tcache = (t, gummel_poon_laws(self.params, t, math.exp))
+        return cache[1]
 
     def currents_and_derivatives(self, vbe: float, vbc: float, t: float,
                                  derivatives: bool = True):
         """Junction-convention ``(ic, ib, dic_dvbe, dic_dvbc, dib_dvbe,
-        dib_dvbc)`` at temperature ``t``.
+        dib_dvbc)`` at temperature ``t`` (:mod:`repro.bjt.laws`).
 
-        With ``derivatives=False`` only ``(ic, ib)`` is returned, from
-        the same expressions evaluated in the same order (the
-        residual-only stamp relies on the currents being bit-identical).
-
-        The base-charge denominator ``1 - vbe/VAR - vbc/VAF`` is clamped
-        at 0.05 to keep intermediate Newton iterates finite; converged
-        operating points sit far from the clamp.
+        With ``derivatives=False`` only ``(ic, ib)`` is returned.  The
+        memo holds the law's ``core`` at the last point, so a full call
+        after a currents-only call at the same point only completes the
+        derivatives.
         """
-        cached = self._op_cache
-        if cached is not None and cached[0] == (vbe, vbc, t):
-            result = cached[1]
-            if not derivatives:
-                return result[:2]
-            if len(result) == 6:
-                return result
-        p = self.params
-        _, is_t, ise_t, bf_t, nf_vt, nr_vt, ne_vt = self._laws_at(t)
-
-        ef, def_ = limited_exp(vbe / nf_vt)
-        er, der = limited_exp(vbc / nr_vt)
-        i_f = is_t * (ef - 1.0)
-        i_r = is_t * (er - 1.0)
-
-        # Base charge qb = q1 * (1 + sqrt(1 + 4 q2)) / 2
-        inv_var = 0.0 if math.isinf(p.var) else 1.0 / p.var
-        inv_vaf = 0.0 if math.isinf(p.vaf) else 1.0 / p.vaf
-        d = 1.0 - vbe * inv_var - vbc * inv_vaf
-        clamped = d < 0.05
-        if clamped:
-            d = 0.05
-        q1 = 1.0 / d
-        unlimited_ikf = math.isinf(p.ikf)
-        q2 = 0.0 if unlimited_ikf else i_f / p.ikf
-        root = math.sqrt(1.0 + 4.0 * max(q2, 0.0))
-        h = 0.5 * (1.0 + root)
-        qb = q1 * h
-        icc = (i_f - i_r) / qb
-
-        ele, dele = limited_exp(vbe / ne_vt)
-
-        ic = icc - i_r / p.br
-        ib = i_f / bf_t + ise_t * (ele - 1.0) + i_r / p.br
+        memo = self._op_cache
+        if memo is None or memo[0] != (vbe, vbc, t):
+            ic, ib, core = gummel_poon_currents(vbe, vbc, self._laws_at(t))
+            memo = self._op_cache = [(vbe, vbc, t), (ic, ib), core]
+        result = memo[1]
         if not derivatives:
-            result = (ic, ib)
-            self._op_cache = ((vbe, vbc, t), result)
-            return result
-
-        gif = is_t * def_ / nf_vt
-        gir = is_t * der / nr_vt
-        dq1_dvbe = 0.0 if clamped else q1 * q1 * inv_var
-        dq1_dvbc = 0.0 if clamped else q1 * q1 * inv_vaf
-        dq2_dvbe = 0.0 if unlimited_ikf else gif / p.ikf
-        dh_dq2 = 1.0 / root
-        dqb_dvbe = dq1_dvbe * h + q1 * dh_dq2 * dq2_dvbe
-        dqb_dvbc = dq1_dvbc * h
-        dicc_dvbe = gif / qb - icc * dqb_dvbe / qb
-        dicc_dvbc = -gir / qb - icc * dqb_dvbc / qb
-
-        dic_dvbe = dicc_dvbe
-        dic_dvbc = dicc_dvbc - gir / p.br
-        dib_dvbe = gif / bf_t + ise_t * dele / ne_vt
-        dib_dvbc = gir / p.br
-        result = (ic, ib, dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc)
-        self._op_cache = ((vbe, vbc, t), result)
+            return result[:2]
+        if len(result) == 2:
+            result = memo[1] = result + gummel_poon_derivatives(
+                memo[2], self._laws_at(t)
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -273,19 +203,6 @@ class SpiceBJT(Element):
         # Two symmetric two-terminal blocks (B-E and B-C junctions).
         return 8
 
-    @staticmethod
-    def _depletion_capacitance(cj0: float, vj: float, m: float, v: float) -> float:
-        """SPICE depletion law ``cj0 / (1 - v/vj)^m`` with the standard
-        FC = 0.5 linearisation in forward bias (the raw law diverges at
-        ``v = vj``; converged junctions routinely sit past FC*vj)."""
-        fc = 0.5
-        if v < fc * vj:
-            return cj0 / (1.0 - v / vj) ** m
-        # Linear continuation: C(fc*vj) + C'(fc*vj) * (v - fc*vj).
-        edge = cj0 / (1.0 - fc) ** m
-        slope = edge * m / (vj * (1.0 - fc))
-        return edge + slope * (v - fc * vj)
-
     def junction_capacitances(self, vbe: float, vbc: float, t: float):
         """Small-signal ``(C_be, C_bc)`` at a junction-convention bias [F].
 
@@ -294,11 +211,9 @@ class SpiceBJT(Element):
         depletion only (reverse transit time is not modelled).
         """
         p = self.params
-        c_be = c_bc = 0.0
-        if p.cje > 0.0:
-            c_be += self._depletion_capacitance(p.cje, p.vje, p.mje, vbe)
-        if p.cjc > 0.0:
-            c_bc += self._depletion_capacitance(p.cjc, p.vjc, p.mjc, vbc)
+        # A zero CJ0 card gives exactly zero depletion capacitance.
+        c_be = depletion_capacitance(p.cje, p.vje, p.mje, vbe)
+        c_bc = depletion_capacitance(p.cjc, p.vjc, p.mjc, vbc)
         if p.tf > 0.0:
             gm = self.currents_and_derivatives(vbe, vbc, t)[2]
             c_be += p.tf * abs(gm)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 
-from ...constants import K_BOLTZMANN_EV, T_NOMINAL, thermal_voltage
+from ...bjt.laws import diode_current, diode_saturation_current
+from ...constants import T_NOMINAL, thermal_voltage
 from ...errors import NetlistError
-from .base import Element, Stamp, limited_exp
+from .base import Element, Stamp
 
 
 class Diode(Element):
@@ -27,8 +28,8 @@ class Diode(Element):
 
     @property
     def groupable(self) -> bool:
-        """Grouped by :class:`repro.spice.groups.DiodeGroup` (the
-        exponential is overflow-clamped identically on both paths)."""
+        """Grouped by :class:`repro.spice.groups.DiodeGroup` (both paths
+        evaluate the same :mod:`repro.bjt.laws` diode law)."""
         return True
 
     def jacobian_slots(self) -> int:
@@ -47,29 +48,29 @@ class Diode(Element):
         tnom: float = T_NOMINAL,
     ):
         super().__init__(name, (anode, cathode))
-        if is_ <= 0.0:
-            raise NetlistError(f"diode {name}: IS must be positive")
-        if n <= 0.0:
-            raise NetlistError(f"diode {name}: ideality must be positive")
+        for attribute, value in (("is_", is_), ("n", n), ("tnom", tnom)):
+            problem = self.domain_error(attribute, value)
+            if problem is not None:
+                raise NetlistError(f"diode {name}: {problem}")
         self.is_ = is_
         self.n = n
         self.eg = eg
         self.xti = xti
         self.tnom = tnom
 
+    def domain_error(self, attribute: str, value: float):
+        if attribute in ("is_", "n", "tnom") and not value > 0.0:
+            return f"{attribute} must be positive, got {value}"
+        return super().domain_error(attribute, value)
+
     def is_at(self, temperature_k: float) -> float:
-        ratio = temperature_k / self.tnom
-        exponent = (self.eg / (self.n * K_BOLTZMANN_EV)) * (
-            1.0 / self.tnom - 1.0 / temperature_k
-        )
-        return self.is_ * ratio ** (self.xti / self.n) * math.exp(exponent)
+        return diode_saturation_current(self, temperature_k, math.exp)
 
     def current_and_conductance(self, vd: float, temperature_k: float):
         """``(i(vd), di/dvd)`` with overflow-limited exponential."""
-        nvt = self.n * thermal_voltage(temperature_k)
-        sat = self.is_at(temperature_k)
-        value, slope = limited_exp(vd / nvt)
-        return sat * (value - 1.0), sat * slope / nvt
+        return diode_current(
+            vd, self.is_at(temperature_k), self.n * thermal_voltage(temperature_k)
+        )
 
     def stamp(self, stamp: Stamp) -> None:
         a, c = self._node_idx

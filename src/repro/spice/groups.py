@@ -22,21 +22,22 @@ vectorized NumPy pass:
   (the solver probes a candidate's residual and then assembles the
   Jacobian at that same accepted point, back to back).
 
-Equivalence contract: a group stamps the *same mathematical expressions*
-as the scalar ``Element.stamp`` it replaces, term for term, so the two
-paths agree to float64 rounding (the test suite pins ``<= 1e-12``
-relative).  The scalar path stays the always-available reference —
-``REPRO_VECTORIZED=0`` routes every element back through it.
+Equivalence contract: a group evaluates the *same law functions* as
+the scalar ``Element.stamp`` it replaces — :mod:`repro.bjt.laws` builds
+each junction law once over ``math`` and once over ``numpy`` from one
+text — so the two paths differ only by the rounding of ``np.exp``,
+``np.sqrt`` and ``**`` against their ``math`` counterparts (the test
+suite pins ``<= 1e-12`` of the stamp scale).  The scalar path stays the
+always-available reference — ``REPRO_VECTORIZED=0`` routes every
+element back through it.
 
 Ground handling: node index ``-1`` (ground) maps to a trailing zero slot
 of an extended iterate ``x_ext = [x, 0.0]`` for gathers, and scatter
 patterns are masked at build time so contributions to ground rows are
 dropped exactly as :meth:`Stamp.add_residual` drops them.
 
-Numerical guards: the junction exponentials are evaluated with the
-argument clamped at :data:`~repro.spice.elements.base._MAX_EXP_ARG`
-*before* ``np.exp`` (the scalar ``limited_exp`` never evaluates past the
-cap, so the vectorized path must not either), and each evaluation runs
+Numerical guards: the laws never evaluate ``exp`` past the cap (see
+the overflow audit of :mod:`repro.bjt.laws`), and each evaluation runs
 under ``np.errstate(over="ignore")`` so a wild Newton trial point can at
 worst produce a large-but-finite stamp, never a ``RuntimeWarning`` — the
 test suite promotes warnings to errors to keep it that way.
@@ -52,32 +53,27 @@ invalidate contract as mutating a linear element's value.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..constants import K_BOLTZMANN_EV, K_OVER_Q
-from .elements.base import _MAX_EXP_ARG
+from ..bjt.laws import (
+    depletion_capacitance_array,
+    diode_current_array,
+    diode_saturation_current,
+    gummel_poon_currents_array,
+    gummel_poon_derivatives_array,
+    gummel_poon_laws,
+)
+from ..constants import K_OVER_Q
 
-#: ``exp`` at the linearisation boundary (see ``limited_exp``).
-_EDGE = math.exp(_MAX_EXP_ARG)
 
-#: Forward-bias fraction of the depletion-capacitance linearisation
-#: (mirrors the scalar ``SpiceBJT._depletion_capacitance``).
-_FC = 0.5
-
-
-def _limited_exp_array(arg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``limited_exp``: ``(exp(arg), d/darg)`` with the same
-    linear continuation past the cap as the scalar helper.  The clamp
-    runs *before* ``np.exp`` so no overflow is ever evaluated."""
-    value = np.exp(np.minimum(arg, _MAX_EXP_ARG))
-    over = arg > _MAX_EXP_ARG
-    if over.any():
-        slope = np.where(over, _EDGE, value)
-        value = np.where(over, _EDGE * (1.0 + (arg - _MAX_EXP_ARG)), value)
-        return value, slope
-    return value, value
+def _pack(cards: Sequence, names: Sequence[str]) -> SimpleNamespace:
+    """A card of per-device arrays: ``card.<name>[k]`` is device k's."""
+    return SimpleNamespace(
+        **{name: np.array([getattr(c, name) for c in cards]) for name in names}
+    )
 
 
 def _masked_pattern(rows_raw: np.ndarray, cols_raw: Optional[np.ndarray]):
@@ -94,7 +90,14 @@ def _masked_pattern(rows_raw: np.ndarray, cols_raw: Optional[np.ndarray]):
 
 
 class DeviceGroup:
-    """Base: packed indices plus the temperature-override snapshot."""
+    """Base: packed indices, the temperature-override snapshot and the
+    one-deep junction memo.
+
+    Subclasses provide ``_laws_at(t)`` (the law values at the device
+    temperatures), ``_gather(x_ext)`` (the junction voltages) and
+    ``_currents(v, laws, gmin)`` (the masked residual values plus the
+    state the derivative completion needs).
+    """
 
     #: Group label for diagnostics and stats.
     kind = "device"
@@ -131,6 +134,28 @@ class DeviceGroup:
             return np.where(np.isnan(self._t_override), ambient, self._t_override)
         return ambient
 
+    def _temperature_laws(self, ambient: float):
+        """Memoised law values, keyed on the ambient temperature."""
+        if self._laws_key != ambient:
+            self._laws = self._laws_at(self._device_temperatures(ambient))
+            self._laws_key = ambient
+            self._memo = None
+        return self._laws
+
+    def _evaluate(self, x_ext: np.ndarray, gmin: float, ambient: float):
+        """``(values, state)`` of :meth:`_currents` at the iterate,
+        served from the memo when the junction voltages and gmin match
+        the last evaluation."""
+        laws = self._temperature_laws(ambient)
+        v = self._gather(x_ext)
+        memo = self._memo
+        if memo is not None and memo[1] == gmin and np.array_equal(memo[0], v):
+            return memo[2], memo[3]
+        with np.errstate(over="ignore"):
+            values, state = self._currents(v, laws, gmin)
+        self._memo = (v, gmin, values, state)
+        return values, state
+
     def _gather_index(self, raw: np.ndarray) -> np.ndarray:
         """Map ground (-1) to the extended iterate's trailing zero slot."""
         return np.where(raw < 0, self.size, raw).astype(np.intp)
@@ -139,57 +164,37 @@ class DeviceGroup:
 class BJTGroup(DeviceGroup):
     """All plain (substrate-free) Gummel-Poon BJTs of one system.
 
-    Vectorizes :meth:`SpiceBJT.currents_and_derivatives` plus the stamp
-    itself.  The three junction branches (B-E transport, B-C transport,
-    B-E leakage) are evaluated as a single stacked ``(3 n,)`` vector —
-    gathered straight from the iterate through precomputed index
-    arrays — so one division, one ``exp`` and one multiply serve every
-    junction of the group.
+    Evaluates the laws of :meth:`SpiceBJT.currents_and_derivatives` over
+    per-device arrays, plus the stamp itself.  The junction voltages are
+    gathered as one stacked ``[vbe, vbc]`` vector straight from the
+    iterate through precomputed index arrays.
     """
 
     kind = "bjt"
 
+    #: Card fields the laws read (temperature laws, junction law,
+    #: depletion law).
+    _FIELDS = (
+        "is_", "ise", "bf", "br", "nf", "nr", "ne", "vaf", "var", "ikf",
+        "eg", "xti", "xtb", "tnom",
+        "cje", "cjc", "vje", "vjc", "mje", "mjc", "tf",
+    )
+
     def __init__(self, devices: Sequence, size: int):
         super().__init__(devices, size)
-        params = [el.params for el in devices]
         c_raw = np.array([el._node_idx[0] for el in devices])
         b_raw = np.array([el._node_idx[1] for el in devices])
         e_raw = np.array([el._node_idx[2] for el in devices])
-        self._gc = self._gather_index(c_raw)
-        self._gb = self._gather_index(b_raw)
-        self._ge = self._gather_index(e_raw)
+        gc = self._gather_index(c_raw)
+        gb = self._gather_index(b_raw)
+        ge = self._gather_index(e_raw)
         self.sign = np.array([el.sign for el in devices])
-        # Stacked junction gathers: v_stack = sign3 * (x[hi] - x[lo])
-        # produces [vbe, vbc, vbe] in one pass.
-        self._stack_hi = np.concatenate([self._gb, self._gb, self._gb])
-        self._stack_lo = np.concatenate([self._ge, self._gc, self._ge])
-        self._sign3 = np.concatenate([self.sign, self.sign, self.sign])
-
-        self.is_ = np.array([p.is_ for p in params])
-        self.ise = np.array([p.ise for p in params])
-        self.bf = np.array([p.bf for p in params])
-        self.xtb = np.array([p.xtb for p in params])
-        self.xti = np.array([p.xti for p in params])
-        self.tnom = np.array([p.tnom for p in params])
-        self.nf = np.array([p.nf for p in params])
-        self.nr = np.array([p.nr for p in params])
-        self.ne = np.array([p.ne for p in params])
-        self.eg_over_k = np.array([p.eg / K_BOLTZMANN_EV for p in params])
-        self.eg_over_ne_k = np.array(
-            [p.eg / (p.ne * K_BOLTZMANN_EV) for p in params]
-        )
-        self.ise_exp = np.array([p.xti / p.ne - p.xtb for p in params])
-        self.inv_var = np.array(
-            [0.0 if math.isinf(p.var) else 1.0 / p.var for p in params]
-        )
-        self.inv_vaf = np.array(
-            [0.0 if math.isinf(p.vaf) else 1.0 / p.vaf for p in params]
-        )
-        self.inv_ikf = np.array(
-            [0.0 if math.isinf(p.ikf) else 1.0 / p.ikf for p in params]
-        )
-        self.inv_br = np.array([1.0 / p.br for p in params])
-        self.inv_va2 = np.concatenate([self.inv_var, self.inv_vaf])
+        # Stacked junction gathers: sign2 * (x[hi] - x[lo]) produces
+        # [vbe, vbc] in one pass.
+        self._stack_hi = np.concatenate([gb, gb])
+        self._stack_lo = np.concatenate([ge, gc])
+        self._sign2 = np.concatenate([self.sign, self.sign])
+        self._card = _pack([el.params for el in devices], self._FIELDS)
 
         # Residual rows: one block each for C, B, E.
         self._res_sel, self._res_rows = _masked_pattern(
@@ -214,122 +219,36 @@ class BJTGroup(DeviceGroup):
         self._cap_cols_raw = np.concatenate(
             [b_raw, e_raw, b_raw, e_raw, b_raw, c_raw, b_raw, c_raw]
         )
-        # Depletion-law constants (temperature-independent).
-        self.cje = np.array([p.cje for p in params])
-        self.cjc = np.array([p.cjc for p in params])
-        self.vje = np.array([p.vje for p in params])
-        self.vjc = np.array([p.vjc for p in params])
-        self.mje = np.array([p.mje for p in params])
-        self.mjc = np.array([p.mjc for p in params])
-        self.tf = np.array([p.tf for p in params])
 
-    # -- temperature laws ----------------------------------------------
-    def _temperature_laws(self, ambient: float):
-        """Memoised vectorized laws, keyed on the ambient temperature."""
-        if self._laws_key == ambient:
-            return self._laws
-        t = self._device_temperatures(ambient)
-        ratio = t / self.tnom
-        delta = 1.0 / self.tnom - 1.0 / t
-        is_t = self.is_ * ratio**self.xti * np.exp(self.eg_over_k * delta)
-        ise_t = self.ise * ratio**self.ise_exp * np.exp(self.eg_over_ne_k * delta)
-        bf_t = self.bf * ratio**self.xtb
-        vt = K_OVER_Q * t
-        nf_vt = self.nf * vt
-        nr_vt = self.nr * vt
-        ne_vt = self.ne * vt
-        nvt_stack = np.concatenate([nf_vt, nr_vt, ne_vt])
-        sat_stack = np.concatenate([is_t, is_t, ise_t])
-        laws = (
-            1.0 / nvt_stack,          # argument scale
-            sat_stack,
-            sat_stack / nvt_stack,    # conductance scale
-            1.0 / bf_t,
-        )
-        self._laws_key = ambient
-        self._laws = laws
-        self._memo = None
-        return laws
-
-    # -- junction math -------------------------------------------------
-    def _currents(self, v_stack, laws):
-        """Vectorized transport/leakage currents over the group.
-
-        Returns ``(ic, ib, core)`` in junction convention; ``core``
-        carries every intermediate the derivative completion
-        (:meth:`_derivatives`) needs, so a memo hit on the same iterate
-        pays for the currents only once.
-        """
-        inv_nvt_stack, sat_stack, g_scale, inv_bf_t = laws
-        n = self.n
-        e_val, e_slope = _limited_exp_array(v_stack * inv_nvt_stack)
-        i_stack = sat_stack * (e_val - 1.0)
-        i_f = i_stack[:n]
-        i_r = i_stack[n : 2 * n]
-        i_le = i_stack[2 * n :]
-
-        # Base charge qb = q1 * (1 + sqrt(1 + 4 q2)) / 2, the Early
-        # denominator d clamped at 0.05 exactly as the scalar model.
-        va_terms = v_stack[: 2 * n] * self.inv_va2
-        d_raw = 1.0 - va_terms[:n] - va_terms[n:]
-        d = np.maximum(d_raw, 0.05)
-        q1 = 1.0 / d
-        q2 = i_f * self.inv_ikf
-        root = np.sqrt(1.0 + 4.0 * np.maximum(q2, 0.0))
-        h = 0.5 * (1.0 + root)
-        qb = q1 * h
-        inv_qb = 1.0 / qb
-        icc = (i_f - i_r) * inv_qb
-        i_r_br = i_r * self.inv_br
-        ic = icc - i_r_br
-        ib = i_f * inv_bf_t + i_le + i_r_br
-        core = (e_slope, g_scale, inv_bf_t, d_raw, q1, root, h, inv_qb, icc)
-        return ic, ib, core
-
-    def _derivatives(self, core):
-        """Complete the Jacobian pieces from a :meth:`_currents` core."""
-        e_slope, g_scale, inv_bf_t, d_raw, q1, root, h, inv_qb, icc = core
-        n = self.n
-        g_stack = g_scale * e_slope
-        gif = g_stack[:n]
-        gir = g_stack[n : 2 * n]
-        g_le = g_stack[2 * n :]
-        clamped = d_raw < 0.05
-        q1_sq = np.where(clamped, 0.0, q1 * q1)
-        dq1_dvbe = q1_sq * self.inv_var
-        dq1_dvbc = q1_sq * self.inv_vaf
-        dq2_dvbe = gif * self.inv_ikf
-        dqb_dvbe = dq1_dvbe * h + q1 * (1.0 / root) * dq2_dvbe
-        dqb_dvbc = dq1_dvbc * h
-        dicc_dvbe = gif * inv_qb - icc * dqb_dvbe * inv_qb
-        dicc_dvbc = -gir * inv_qb - icc * dqb_dvbc * inv_qb
-        gir_br = gir * self.inv_br
-        dic_dvbc = dicc_dvbc - gir_br
-        dib_dvbe = gif * inv_bf_t + g_le
-        return dicc_dvbe, dic_dvbc, dib_dvbe, gir_br
+    def _laws_at(self, t):
+        return gummel_poon_laws(self._card, t, np.exp)
 
     def _gather(self, x_ext: np.ndarray) -> np.ndarray:
-        """Stacked junction voltages ``[vbe, vbc, vbe]`` off the iterate."""
-        return self._sign3 * (x_ext[self._stack_hi] - x_ext[self._stack_lo])
+        """Stacked junction voltages ``[vbe, vbc]`` off the iterate."""
+        return self._sign2 * (x_ext[self._stack_hi] - x_ext[self._stack_lo])
 
-    def _residual_values(self, v_stack, ic, ib, gmin):
-        """Masked node-row residual contributions (C, B, E blocks).
+    def _currents(self, v, laws, gmin):
+        """Masked node-row residual contributions (C, B, E blocks) and
+        the law's core.
 
         The gmin junction terms reuse the stacked voltages:
-        ``sign * v_stack[:n] = vb - ve`` and ``sign * v_stack[n:2n] =
-        vb - vc`` by construction.
+        ``sign * vbe = vb - ve`` and ``sign * vbc = vb - vc`` by
+        construction.
         """
         n = self.n
+        vbe = v[:n]
+        vbc = v[n:]
+        ic, ib, core = gummel_poon_currents_array(vbe, vbc, laws)
         s = self.sign
         i_c = s * ic
         i_b = s * ib
         sv = s * gmin
-        i_be = sv * v_stack[:n]
-        i_bc = sv * v_stack[n : 2 * n]
+        i_be = sv * vbe
+        i_bc = sv * vbc
         values = np.concatenate(
             [i_c - i_bc, i_b + i_be + i_bc, -(i_c + i_b) - i_be]
         )
-        return values[self._res_sel]
+        return values[self._res_sel], core
 
     # -- assembly entry points -----------------------------------------
     def stamp_residual(
@@ -337,20 +256,7 @@ class BJTGroup(DeviceGroup):
         ambient: float,
     ) -> None:
         """Accumulate the group's terminal currents into ``residual``."""
-        laws = self._temperature_laws(ambient)
-        v_stack = self._gather(x_ext)
-        memo = self._memo
-        if (
-            memo is not None
-            and memo[1] == gmin
-            and np.array_equal(memo[0], v_stack)
-        ):
-            np.add.at(residual, self._res_rows, memo[2])
-            return
-        with np.errstate(over="ignore"):
-            ic, ib, core = self._currents(v_stack, laws)
-            values = self._residual_values(v_stack, ic, ib, gmin)
-        self._memo = (v_stack, gmin, values, core)
+        values, _ = self._evaluate(x_ext, gmin, ambient)
         np.add.at(residual, self._res_rows, values)
 
     def stamp_full(
@@ -358,23 +264,12 @@ class BJTGroup(DeviceGroup):
         ambient: float,
     ):
         """Residual accumulation plus the Jacobian COO triplets."""
-        laws = self._temperature_laws(ambient)
-        v_stack = self._gather(x_ext)
-        memo = self._memo
-        if (
-            memo is not None
-            and memo[1] == gmin
-            and np.array_equal(memo[0], v_stack)
-        ):
-            values, core = memo[2], memo[3]
-        else:
-            with np.errstate(over="ignore"):
-                ic, ib, core = self._currents(v_stack, laws)
-                values = self._residual_values(v_stack, ic, ib, gmin)
-            self._memo = (v_stack, gmin, values, core)
+        values, core = self._evaluate(x_ext, gmin, ambient)
         np.add.at(residual, self._res_rows, values)
         with np.errstate(over="ignore"):
-            dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc = self._derivatives(core)
+            dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc = (
+                gummel_poon_derivatives_array(core, self._laws)
+            )
             dic_sum = dic_dvbe + dic_dvbc
             dib_sum = dib_dvbe + dib_dvbc
             jac = np.concatenate([
@@ -391,16 +286,6 @@ class BJTGroup(DeviceGroup):
         return self._jac_rows, self._jac_cols, jac[self._jac_sel]
 
     # -- AC (small-signal) ---------------------------------------------
-    @staticmethod
-    def _depletion(cj0, vj, m, v):
-        """Vectorized SPICE depletion law with the FC linearisation
-        (term-for-term the scalar ``_depletion_capacitance``)."""
-        below = v < _FC * vj
-        base = np.where(below, 1.0 - v / vj, 1.0 - _FC)
-        edge = cj0 / (1.0 - _FC) ** m
-        slope = edge * m / (vj * (1.0 - _FC))
-        return np.where(below, cj0 / base**m, edge + slope * (v - _FC * vj))
-
     def ac_capacitance(self, x_ext: np.ndarray, ambient: float):
         """Junction ``dQ/dV`` COO triplets at the operating point.
 
@@ -410,21 +295,19 @@ class BJTGroup(DeviceGroup):
         group leaves the C matrix truly empty (``frequency_flat``).
         """
         laws = self._temperature_laws(ambient)
-        v_stack = self._gather(x_ext)
+        v = self._gather(x_ext)
         n = self.n
-        vbe = v_stack[:n]
-        vbc = v_stack[n : 2 * n]
-        c_be = np.where(
-            self.cje > 0.0, self._depletion(self.cje, self.vje, self.mje, vbe), 0.0
-        )
-        c_bc = np.where(
-            self.cjc > 0.0, self._depletion(self.cjc, self.vjc, self.mjc, vbc), 0.0
-        )
-        if np.any(self.tf > 0.0):
+        vbe = v[:n]
+        vbc = v[n:]
+        card = self._card
+        # A zero CJ0 (or TF) card gives exactly zero capacitance.
+        c_be = depletion_capacitance_array(card.cje, card.vje, card.mje, vbe)
+        c_bc = depletion_capacitance_array(card.cjc, card.vjc, card.mjc, vbc)
+        if np.any(card.tf > 0.0):
             with np.errstate(over="ignore"):
-                _, _, core = self._currents(v_stack, laws)
-                gm = self._derivatives(core)[0]
-            c_be = c_be + np.where(self.tf > 0.0, self.tf * np.abs(gm), 0.0)
+                _, _, core = gummel_poon_currents_array(vbe, vbc, laws)
+                gm = gummel_poon_derivatives_array(core, laws)[0]
+            c_be = c_be + card.tf * np.abs(gm)
         signs = np.array([1.0, -1.0, -1.0, 1.0])
         values = np.concatenate(
             [np.outer(signs, c_be).ravel(), np.outer(signs, c_bc).ravel()]
@@ -452,13 +335,7 @@ class DiodeGroup(DeviceGroup):
         c_raw = np.array([el._node_idx[1] for el in devices])
         self._ga = self._gather_index(a_raw)
         self._gc = self._gather_index(c_raw)
-        self.is_ = np.array([el.is_ for el in devices])
-        self.n_ideality = np.array([el.n for el in devices])
-        self.tnom = np.array([el.tnom for el in devices])
-        self.xti_over_n = np.array([el.xti / el.n for el in devices])
-        self.eg_over_n_k = np.array(
-            [el.eg / (el.n * K_BOLTZMANN_EV) for el in devices]
-        )
+        self._card = _pack(devices, ("is_", "n", "eg", "xti", "tnom"))
         self._res_sel, self._res_rows = _masked_pattern(
             np.concatenate([a_raw, c_raw]), None
         )
@@ -468,62 +345,28 @@ class DiodeGroup(DeviceGroup):
             np.concatenate([a_raw, c_raw, a_raw, c_raw]),
         )
 
-    def _temperature_laws(self, ambient: float):
-        if self._laws_key == ambient:
-            return self._laws
-        t = self._device_temperatures(ambient)
-        ratio = t / self.tnom
-        delta = 1.0 / self.tnom - 1.0 / t
-        sat = self.is_ * ratio**self.xti_over_n * np.exp(self.eg_over_n_k * delta)
-        nvt = self.n_ideality * (K_OVER_Q * t)
-        laws = (sat, 1.0 / nvt, sat / nvt)
-        self._laws_key = ambient
-        self._laws = laws
-        self._memo = None
-        return laws
+    def _laws_at(self, t):
+        card = self._card
+        return diode_saturation_current(card, t, np.exp), card.n * (K_OVER_Q * t)
+
+    def _gather(self, x_ext: np.ndarray) -> np.ndarray:
+        return x_ext[self._ga] - x_ext[self._gc]
 
     def _currents(self, vd, laws, gmin: float):
-        """``(values, e_slope)``: masked residual contributions plus the
-        exponential slope the derivative completion needs."""
-        sat, inv_nvt, _ = laws
-        e_val, e_slope = _limited_exp_array(vd * inv_nvt)
-        i = sat * (e_val - 1.0) + gmin * vd
-        return np.concatenate([i, -i])[self._res_sel], e_slope
+        """Masked residual contributions plus the junction conductance."""
+        i, g = diode_current_array(vd, *laws)
+        i = i + gmin * vd
+        return np.concatenate([i, -i])[self._res_sel], g
 
     def stamp_residual(self, x_ext, residual, gmin: float, ambient: float) -> None:
-        laws = self._temperature_laws(ambient)
-        vd = x_ext[self._ga] - x_ext[self._gc]
-        memo = self._memo
-        if (
-            memo is not None
-            and memo[1] == gmin
-            and np.array_equal(memo[0], vd)
-        ):
-            np.add.at(residual, self._res_rows, memo[2])
-            return
-        with np.errstate(over="ignore"):
-            values, e_slope = self._currents(vd, laws, gmin)
-        self._memo = (vd, gmin, values, e_slope)
+        values, _ = self._evaluate(x_ext, gmin, ambient)
         np.add.at(residual, self._res_rows, values)
 
     def stamp_full(self, x_ext, residual, gmin: float, ambient: float):
-        laws = self._temperature_laws(ambient)
-        vd = x_ext[self._ga] - x_ext[self._gc]
-        memo = self._memo
-        if (
-            memo is not None
-            and memo[1] == gmin
-            and np.array_equal(memo[0], vd)
-        ):
-            values, e_slope = memo[2], memo[3]
-        else:
-            with np.errstate(over="ignore"):
-                values, e_slope = self._currents(vd, laws, gmin)
-            self._memo = (vd, gmin, values, e_slope)
+        values, g = self._evaluate(x_ext, gmin, ambient)
         np.add.at(residual, self._res_rows, values)
-        with np.errstate(over="ignore"):
-            g = laws[2] * e_slope + gmin
-            jac = np.concatenate([g, -g, -g, g])
+        g = g + gmin
+        jac = np.concatenate([g, -g, -g, g])
         return self._jac_rows, self._jac_cols, jac[self._jac_sel]
 
     def ac_capacitance(self, x_ext, ambient: float):

@@ -71,11 +71,14 @@ def _normalise_overrides(overrides) -> Overrides:
             ) from None
         element, attribute = str(element), str(attribute)
         try:
-            value = float(value)
+            number = float(value)
         except (TypeError, ValueError):
+            number = math.nan
+        if math.isnan(number):
             raise PlanError(
                 f"override value for {element}.{attribute} is not a number: {value!r}"
-            ) from None
+            )
+        value = number
         key = (element, attribute)
         if key in seen:
             if seen[key] != value:
@@ -94,6 +97,22 @@ def _check_temperature(temperature_k: float) -> float:
     if not math.isfinite(temperature_k) or temperature_k <= 0.0:
         raise PlanError(f"temperature must be positive and finite, got {temperature_k}")
     return temperature_k
+
+
+def _check_overrides(circuit: Circuit, overrides: Overrides, owner: str) -> None:
+    """Each override must name an element, one of its attributes, and a
+    value inside that attribute's domain (:meth:`Element.domain_error`)."""
+    for element, attribute, value in overrides:
+        if not circuit.has_element(element):
+            raise PlanError(f"{owner} overrides unknown element {element!r}")
+        target = circuit.element(element)
+        if not hasattr(target, attribute):
+            raise PlanError(
+                f"element {element!r} has no attribute {attribute!r} to override"
+            )
+        problem = target.domain_error(attribute, value)
+        if problem is not None:
+            raise PlanError(f"override {element}.{attribute}: {problem}")
 
 
 class AnalysisPlan:
@@ -121,15 +140,7 @@ class AnalysisPlan:
 
         Runs before any solve: a plan that fails here costs nothing.
         """
-        for element, attribute, _value in self.overrides:
-            if not circuit.has_element(element):
-                raise PlanError(
-                    f"{type(self).__name__} overrides unknown element {element!r}"
-                )
-            if not hasattr(circuit.element(element), attribute):
-                raise PlanError(
-                    f"element {element!r} has no attribute {attribute!r} to override"
-                )
+        _check_overrides(circuit, self.overrides, type(self).__name__)
         for node in self.record:
             if not is_ground(node) and node not in circuit.nodes:
                 raise PlanError(
@@ -350,15 +361,7 @@ class MonteCarlo(AnalysisPlan):
         super().validate(circuit)
         self.inner.validate(circuit)
         for trial in self.trials:
-            for element, attribute, _value in trial:
-                if not circuit.has_element(element):
-                    raise PlanError(
-                        f"MonteCarlo trial overrides unknown element {element!r}"
-                    )
-                if not hasattr(circuit.element(element), attribute):
-                    raise PlanError(
-                        f"element {element!r} has no attribute {attribute!r} to override"
-                    )
+            _check_overrides(circuit, trial, "MonteCarlo trial")
 
 
 __all__ = [

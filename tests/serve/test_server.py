@@ -70,6 +70,22 @@ class TestEndpoints:
         assert "unknown node" in err.value.message
         assert STATS.newton_solves == 0
 
+    @pytest.mark.parametrize(
+        "attribute,value",
+        [("n", 0.0), ("is_", -1e-15), ("temperature_override", 0.0)],
+    )
+    def test_out_of_domain_override_maps_to_400(self, client, attribute, value):
+        with pytest.raises(ServeError) as err:
+            client.submit(
+                {"circuit": {"netlist": NETLIST},
+                 "plan": {"analysis": "OP",
+                          "overrides": [["D1", attribute, value]]}}
+            )
+        assert err.value.status == 400
+        assert err.value.error_type == "PlanError"
+        assert f"D1.{attribute}" in err.value.message
+        assert STATS.newton_solves == 0
+
     def test_netlist_error_maps_to_400(self, client):
         with pytest.raises(ServeError) as err:
             client.submit(

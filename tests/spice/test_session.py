@@ -337,6 +337,70 @@ class TestSolvedPointCache:
         )
 
 
+#: Out-of-domain numeric overrides: (family, element, attribute, value).
+OUT_OF_DOMAIN = [
+    ("startup_bandgap", "QA", "temperature_override", 0.0),
+    ("startup_bandgap", "QA", "temperature_override", -40.0),
+    ("startup_bandgap", "QA", "temperature_override", float("nan")),
+    ("startup_bandgap", "QA", "temperature_override", float("inf")),
+    ("startup_bandgap", "QB", "substrate_drive", 1.5),
+    ("diode_chain", "D1", "temperature_override", 0.0),
+    ("diode_chain", "D1", "n", 0.0),
+    ("diode_chain", "D1", "n", -1.0),
+    ("diode_chain", "D1", "is_", 0.0),
+    ("diode_chain", "D1", "tnom", 0.0),
+    ("diode_chain", "D1", "eg", float("nan")),
+]
+
+
+@pytest.mark.usefixtures("device_eval_path")
+class TestOverrideDomain:
+    """An override outside its attribute's domain is a PlanError before
+    any solve, on both device-evaluator paths (it used to end in a bare
+    ValueError/ZeroDivisionError, or a ConvergenceError after source
+    stepping, depending on the path)."""
+
+    @pytest.mark.parametrize("family,element,attribute,value", OUT_OF_DOMAIN)
+    def test_op_rejects_before_any_solve(self, family, element, attribute, value):
+        session = Session(CIRCUITS[family])
+        before = STATS.newton_solves
+        with pytest.raises(PlanError, match=f"{element}.{attribute}"):
+            session.run(OP(overrides=((element, attribute, value),)))
+        assert STATS.newton_solves == before
+
+    @pytest.mark.parametrize("family,element,attribute,value", OUT_OF_DOMAIN)
+    def test_montecarlo_trial_rejects_before_any_solve(
+        self, family, element, attribute, value
+    ):
+        session = Session(CIRCUITS[family])
+        before = STATS.newton_solves
+        with pytest.raises(PlanError, match=f"{element}.{attribute}"):
+            # The bad trial comes second: it must fail before the first
+            # runs (a NaN fails already at construction).
+            session.run(MonteCarlo(
+                inner=OP(),
+                trials=(
+                    ((element, "temperature_override", 300.0),),
+                    ((element, attribute, value),),
+                ),
+            ))
+        assert STATS.newton_solves == before
+
+    def test_in_domain_overrides_still_solve(self):
+        session = Session(CIRCUITS["diode_chain"])
+        base = session.run(OP()).op.voltage("m1")
+        moved = session.run(
+            OP(overrides=(("D1", "n", 1.5), ("D1", "temperature_override", 350.0)))
+        ).op.voltage("m1")
+        assert moved != base
+
+    def test_constructor_states_the_same_domain(self):
+        with pytest.raises(NetlistError, match="n must be positive"):
+            Diode("DX", "a", "0", n=0.0)
+        with pytest.raises(NetlistError, match="is_ must be positive"):
+            Diode("DX", "a", "0", is_=float("nan"))
+
+
 @pytest.mark.usefixtures("device_eval_path")
 class TestSessionMatchesEngine:
     """A fresh session reproduces the engine-level solves bit-for-bit
